@@ -6,85 +6,57 @@ real simplex weights through the dominant eigenvector of a weighted
 Hermitian channel combination, boundary sweeps trace gain- and
 utility-regions, and independent characterizations (MRT/ZF combinations,
 null-shaping constraints) cross-check the strategies.
+
+The names below are the user-facing surface; primitives (eigen kernels,
+projectors, oracles, verify suites) stay in their submodules.
 """
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DegenerateEigenspaceWarning,
-    EigenSystem,
-    dominant_eigpair,
-    dominant_eigvec,
-    eig_hermitian,
-    fix_phase,
-    outer_product,
-    projector_complement,
-    projector_onto,
-    unit,
-    weighted_combination,
-)
 from .network import (
     Scenario,
     ScenarioFormatError,
-    TransmitterSpec,
     direction_vector,
-    effective_miso_channel,
     generate_channels,
     ic_skeleton,
     load_scenario,
     mixed_skeleton,
-    mrc_receive_filter,
-    reduce_to_miso,
     save_scenario,
-    scenario_digest,
     snr_to_noise,
-    svd_receive_filter,
 )
-from .nullshape import (
-    NullConstraintSet,
-    null_constraints,
-    projected_mrt,
-    verify_gain_equivalence,
-)
+from .nullshape import null_constraints, projected_mrt, verify_gain_equivalence
 from .pareto import (
     ParameterPoint,
-    ReceiverRule,
-    TransmitStrategy,
     UtilitySpec,
     UtilitySweep,
-    alignment_search,
-    mrt_beamformer,
     pareto_filter,
-    pareto_filter_bruteforce,
     pareto_strategies,
-    rate,
     strategy_gain_matrix,
     sweep_utility_region,
-    two_user_boundary_vector,
     two_user_combination,
-    utilities,
     utilities_at,
-    verify_two_user_identity,
-    zf_beamformer,
 )
 from .region import (
     BoundarySample,
     BoundaryStrategy,
     PowerClass,
-    boundary_eigensystem,
     boundary_strategy,
-    dominates,
-    full_power_completion,
-    hyperplane_bound,
-    needs_power_control,
-    power_gain,
-    power_rule,
-    random_feasible_covariance,
-    segment_covariance,
+    boundary_table,
     simplex_grid,
     strategy_gains,
     sweep_boundary,
-    weighted_objective,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # network
+    "Scenario", "ScenarioFormatError", "direction_vector", "generate_channels",
+    "ic_skeleton", "load_scenario", "mixed_skeleton", "save_scenario", "snr_to_noise",
+    # region
+    "BoundarySample", "BoundaryStrategy", "PowerClass", "boundary_strategy",
+    "boundary_table", "simplex_grid", "strategy_gains", "sweep_boundary",
+    # pareto
+    "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "pareto_strategies",
+    "strategy_gain_matrix", "sweep_utility_region", "two_user_combination", "utilities_at",
+    # nullshape
+    "null_constraints", "projected_mrt", "verify_gain_equivalence",
+]

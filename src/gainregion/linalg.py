@@ -1,10 +1,9 @@
 """Complex vector and Hermitian matrix primitives.
 
-All functions here are pure: they validate their inputs, never mutate
-them, and are safe to call from concurrent sweep workers.  Eigenvalues
-are always returned in nondecreasing order, and eigenvectors carry a
-fixed phase (first nonzero component real and positive) so identical
-inputs produce bit-identical outputs.
+All functions here are pure: they validate their inputs and never
+mutate them.  Eigenvalues are always returned in nondecreasing order, and
+eigenvectors carry a fixed phase (first nonzero component real and
+positive) so identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_RTOL",
-    "EIGEN_RESIDUAL_TOL",
     "MULTIPLICITY_RTOL",
     "RANK_RTOL",
     "DegenerateEigenspaceWarning",
@@ -39,8 +37,6 @@ __all__ = [
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
-# Target residual of eigendecompositions, |Z v - mu v|.
-EIGEN_RESIDUAL_TOL = 1e-10
 # Relative gap below which eigenvalues are treated as one multiple
 # eigenvalue (a tie-break rule then picks the eigenvectors).
 MULTIPLICITY_RTOL = 1e-9

@@ -19,10 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_cvec, eig_hermitian, unit, weighted_combination
-from .region import boundary_eigensystem, boundary_strategy, check_direction, check_simplex_weight
+from .region import (
+    boundary_eigensystem,
+    boundary_strategy,
+    check_direction,
+    check_simplex_weight,
+    unit_gains,
+    zero_tolerance,
+)
 
 __all__ = [
-    "ZERO_EIG_RTOL",
     "NullConstraintSet",
     "null_constraints",
     "projected_mrt",
@@ -30,9 +36,6 @@ __all__ = [
     "verify_gain_equivalence",
     "eigenvalue_structure",
 ]
-
-# Relative tolerance for treating eigenvalues of the combination as zero.
-ZERO_EIG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
 
 def gain_profile(w, probes) -> np.ndarray:
     """Squared inner products |g^H w|^2 against a list of probe vectors."""
-    wv = as_cvec(w)
-    return np.array([abs(np.vdot(g, wv)) ** 2 for g in probes])
+    return unit_gains(probes, w)
 
 
 def verify_gain_equivalence(
@@ -156,14 +158,10 @@ def verify_gain_equivalence(
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         probe_list.append(g / np.linalg.norm(g))
     probe_list.extend(vecs)
-    worst = 0.0
-    for g in probe_list:
-        bound = float(np.real(np.vdot(g, g)))
-        a = abs(np.vdot(g, w_proj)) ** 2
-        b = abs(np.vdot(g, v_top)) ** 2
-        denom = max(a, b, 1e-9 * bound)
-        worst = max(worst, abs(a - b) / denom)
-    return worst
+    bound = np.real([np.vdot(g, g) for g in probe_list])
+    a = unit_gains(probe_list, w_proj)
+    b = unit_gains(probe_list, v_top)
+    return float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-9 * bound)))
 
 
 def eigenvalue_structure(channels, lam, e) -> dict:
@@ -183,7 +181,7 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     n_un = k - n_in
     m = weighted_combination(vecs, lam, e)
     es = eig_hermitian(m)
-    tau = ZERO_EIG_RTOL * (1.0 + float(np.abs(m).max()))
+    tau = zero_tolerance(m)
     low = es.values[:n_un]
     middle = es.values[n_un : n - n_in]
     annihilation = 0.0

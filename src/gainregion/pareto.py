@@ -8,7 +8,13 @@ two-user MRT/ZF-combination results with their verification oracles.
 Sweeps are pure maps over a deterministic parameter enumeration: rows are
 lexicographic over the axes (per-transmitter simplex grids, then power
 group splits, then power levels for transmitters that need power
-control), with the last axis varying fastest.
+control), with the last axis varying fastest.  Each transmitter enters
+the sweep only through its boundary table (``region.boundary_table``):
+the unit-power gains at its simplex weights, times its power, times its
+group split, form one small array per (transmitter, receiver) that
+broadcasts over the whole grid.  The utilities are then evaluated one
+slab of the first axis at a time; ``utilities_at`` is the scalar oracle
+for any row.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ from .region import (
     BoundaryStrategy,
     PowerClass,
     boundary_strategy,
+    boundary_table,
     needs_power_control,
     simplex_grid,
+    strategy_gains,
+    unit_gains,
 )
 
 __all__ = [
@@ -223,13 +232,9 @@ def pareto_strategies(s: Scenario, point: ParameterPoint) -> dict:
 
 def strategy_gain_matrix(s: Scenario, strategies: dict) -> np.ndarray:
     """Gains x[k, l] = power_k |w_k^H h_{k,l}|^2 for all transmitter/receiver pairs."""
-    g = np.zeros((len(s.transmitters), s.n_receivers))
-    for i, t in enumerate(s.transmitters):
-        strat = strategies[t.tid]
-        w = strat.direction
-        for j, r in enumerate(s.receivers):
-            g[i, j] = strat.power * abs(np.vdot(w, s.channel(t.tid, r))) ** 2
-    return g
+    return np.array(
+        [strategy_gains(s.channels_for(t.tid), strategies[t.tid]) for t in s.transmitters]
+    )
 
 
 def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.ndarray:
@@ -276,64 +281,46 @@ def sweep_axes(s: Scenario, step: float) -> list[SweepAxis]:
     return axes
 
 
-@dataclass
-class _TxEval:
-    """Per-transmitter gain tables over its own axes."""
+def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
+    """Gain of every transmitter at every receiver over the joint grid.
 
-    tid: str
-    lam_axis: int
-    split_axis: int | None
-    split_col: int
-    power_axis: int | None
-    unit_gains: np.ndarray  # (n_lam, K): |w^H h_l|^2 at unit power
-    power_table: np.ndarray  # (n_lam,) or (n_lam, n_p): boundary power
-
-
-def _tx_tables(s: Scenario, axes: list[SweepAxis]) -> list[_TxEval]:
+    ``fields[tid][j]`` is unit gain x power x split (in that order) at
+    receiver position j, as an array with one dimension per axis that has
+    length 1 except along the transmitter's own lambda, power and split
+    axes, so it broadcasts against the whole grid.
+    """
     axis_by = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
-    tables = []
+
+    def along(values: np.ndarray, *positions: int) -> np.ndarray:
+        shape = [1] * len(axes)
+        for pos, n in zip(positions, values.shape):
+            shape[pos] = n
+        return values.reshape(shape)
+
+    fields = {}
     for t in s.transmitters:
         lam_axis = axis_by[("lambda", t.tid)]
+        strategies, gains = boundary_table(
+            s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
+        )
+        power = np.array([b.power for b in strategies])
+        power_axis = axis_by.get(("power", t.tid))
+        if power_axis is None:
+            power = along(power, lam_axis)
+        else:
+            free = np.array([b.power_class is PowerClass.FREE for b in strategies])
+            levels = axes[power_axis].values[:, 0]
+            table = np.where(free[:, None], levels[None, :], power[:, None])
+            power = along(table, lam_axis, power_axis)
         group = s.group_of(t.tid)
         split_axis = axis_by.get(("split", group))
-        power_axis = axis_by.get(("power", t.tid))
-        channels = s.channels_for(t.tid)
-        e = direction_vector(s, t.tid)
-        grid = axes[lam_axis].values
-        n_lam = grid.shape[0]
-        unit_gains = np.zeros((n_lam, s.n_receivers))
-        rule_power = np.zeros(n_lam)
-        free = np.zeros(n_lam, dtype=bool)
-        for i in range(n_lam):
-            bs = boundary_strategy(channels, grid[i], e)
-            w = bs.direction
-            unit_gains[i] = [abs(np.vdot(w, h)) ** 2 for h in channels]
-            rule_power[i] = bs.power
-            free[i] = bs.power_class is PowerClass.FREE
-        if power_axis is None:
-            power_table = rule_power
-        else:
-            p_levels = axes[power_axis].values[:, 0]
-            power_table = np.where(free[:, None], p_levels[None, :], rule_power[:, None])
-        tables.append(
-            _TxEval(
-                tid=t.tid,
-                lam_axis=lam_axis,
-                split_axis=split_axis,
-                split_col=group.index(t.tid) if split_axis is not None else 0,
-                power_axis=power_axis,
-                unit_gains=unit_gains,
-                power_table=power_table,
-            )
-        )
-    return tables
-
-
-def _bcast(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """Reshape a 1-D per-axis array for broadcasting over the slab."""
-    shape = [1] * ndim
-    shape[axis] = values.size
-    return values.reshape(shape)
+        split = 1.0
+        if split_axis is not None:
+            split = along(axes[split_axis].values[:, group.index(t.tid)], split_axis)
+        fields[t.tid] = [
+            along(gains[:, j], lam_axis) * power * split for j in range(s.n_receivers)
+        ]
+    return fields
 
 
 class UtilitySweep:
@@ -408,57 +395,26 @@ def sweep_utility_region(
         raise ValueError("utility spec receiver count does not match the scenario")
     axes = sweep_axes(s, step)
     shape = tuple(len(ax) for ax in axes)
-    n_points = int(np.prod([np.int64(d) for d in shape]))
+    n_points = math.prod(shape)
     if n_points > point_budget:
         raise ValueError(
             f"sweep would produce {n_points} points, above the budget of {point_budget}"
         )
-    tables = _tx_tables(s, axes)
-    idx_by_tid = {t.tid: i for i, t in enumerate(s.transmitters)}
+    fields = _gain_fields(s, axes)
     slab_shape = shape[1:]
-    slab_ndim = len(slab_shape)
-    slab_n = int(np.prod(slab_shape)) if slab_shape else 1
+    slab_n = math.prod(slab_shape)
     out = np.empty((n_points, s.n_receivers))
     sigma2 = spec.noise_power
-
-    def tx_gain_field(table: _TxEval, i0: int, recv_col: int):
-        """Gain of one transmitter at one receiver over the slab (broadcastable)."""
-        if table.lam_axis == 0:
-            g = table.unit_gains[i0, recv_col]
-            if table.power_axis is None:
-                p = table.power_table[i0]
-            else:
-                p = _bcast(table.power_table[i0], table.power_axis - 1, slab_ndim)
-        else:
-            g = _bcast(table.unit_gains[:, recv_col], table.lam_axis - 1, slab_ndim)
-            if table.power_axis is None:
-                p = _bcast(table.power_table, table.lam_axis - 1, slab_ndim)
-            else:
-                shape2 = [1] * slab_ndim
-                shape2[table.lam_axis - 1] = table.power_table.shape[0]
-                shape2[table.power_axis - 1] = table.power_table.shape[1]
-                p = table.power_table.reshape(shape2)
-        field = g * p
-        if table.split_axis is not None:
-            field = field * _bcast(
-                axes[table.split_axis].values[:, table.split_col],
-                table.split_axis - 1,
-                slab_ndim,
-            )
-        return field
-
     for i0 in range(shape[0]):
-        base = i0 * slab_n
-        for r in range(1, s.n_receivers + 1):
-            rule = spec.rules[r - 1]
+        rows = slice(i0 * slab_n, (i0 + 1) * slab_n)
+        for j, rule in enumerate(spec.rules):
             signal = np.zeros(slab_shape)
             for tid in rule.signal:
-                signal = signal + tx_gain_field(tables[idx_by_tid[tid]], i0, r - 1)
+                signal = signal + np.broadcast_to(fields[tid][j], shape)[i0]
             interference = np.zeros(slab_shape)
             for tid in rule.interference:
-                interference = interference + tx_gain_field(tables[idx_by_tid[tid]], i0, r - 1)
-            u = np.log2(1.0 + signal / (sigma2 + interference))
-            out[base : base + slab_n, r - 1] = np.broadcast_to(u, slab_shape).ravel()
+                interference = interference + np.broadcast_to(fields[tid][j], shape)[i0]
+            out[rows, j] = np.log2(1.0 + signal / (sigma2 + interference)).ravel()
     return UtilitySweep(scenario=s, spec=spec, axes=axes, utilities=out)
 
 
@@ -617,40 +573,23 @@ def verify_two_user_identity(lam1: float, h_own, h_cross) -> float:
     return float(np.linalg.norm(lhs @ w - rhs))
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def alignment_search(w, h_own, h_cross) -> tuple[float, float]:
+    """Find the boundary parameter whose eigenvector matches w.
 
-
-def alignment_search(
-    w, h_own, h_cross, coarse: int = 129, width_tol: float = 1e-12
-) -> tuple[float, float]:
-    """Find the boundary parameter whose eigenvector best matches w.
-
-    Runs a coarse scan over lam1 in [0, 1] followed by a golden-section
-    refinement of the squared inner product |<w, v_max(lam1)>|^2.  Returns
-    (lam1, alignment).
+    An eigenvector w of Z = lam1 h1 h1^H - (1 - lam1) h2 h2^H satisfies
+    lam1 (h1 h1^H + h2 h2^H) w - mu w = h2 h2^H w, which is linear in the
+    real unknowns (lam1, mu); they are solved by real least squares and
+    lam1 is clipped to [0, 1].  Returns (lam1, alignment), the alignment
+    being |<w, v_max(lam1)>|^2 against two_user_boundary_vector(lam1).
     """
     wv = unit(w)
-
-    def score(lam1: float) -> float:
-        v = two_user_boundary_vector(lam1, h_own, h_cross)
-        return abs(np.vdot(wv, v)) ** 2
-
-    grid = np.linspace(0.0, 1.0, coarse)
-    vals = [score(x) for x in grid]
-    b = int(np.argmax(vals))
-    lo = grid[max(b - 1, 0)]
-    hi = grid[min(b + 1, coarse - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = score(x1), score(x2)
-    while hi - lo > width_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = score(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = score(x1)
-    best = (lo + hi) / 2.0
-    return best, score(best)
+    own, cross = as_cvec(h_own), as_cvec(h_cross)
+    a_w = own * np.vdot(own, wv)
+    b_w = cross * np.vdot(cross, wv)
+    m = np.column_stack([a_w + b_w, -wv])
+    coef = np.linalg.lstsq(
+        np.vstack([m.real, m.imag]), np.concatenate([b_w.real, b_w.imag]), rcond=None
+    )[0]
+    lam1 = float(np.clip(coef[0], 0.0, 1.0))
+    v = two_user_boundary_vector(lam1, own, cross)
+    return lam1, float(unit_gains([v], wv)[0])

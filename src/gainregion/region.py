@@ -12,7 +12,7 @@ maps receivers 1..K onto positions 0..K-1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +38,12 @@ __all__ = [
     "check_direction",
     "power_gain",
     "power_rule",
+    "zero_tolerance",
     "boundary_eigensystem",
     "boundary_strategy",
+    "unit_gains",
     "strategy_gains",
+    "boundary_table",
     "needs_power_control",
     "sweep_boundary",
     "dominates",
@@ -134,8 +137,14 @@ def power_rule(z) -> PowerClass:
     return _power_class(float(eig_hermitian(z).values[-1]), z)
 
 
+def zero_tolerance(z) -> float:
+    """Half-width tau = ZERO_EIG_RTOL * (1 + max|Z|) of the band in which an
+    eigenvalue of Z counts as zero, for the power rule and its checks."""
+    return ZERO_EIG_RTOL * (1.0 + float(np.abs(np.asarray(z)).max()))
+
+
 def _power_class(mu_max: float, z) -> PowerClass:
-    tau = ZERO_EIG_RTOL * (1.0 + float(np.abs(np.asarray(z)).max()))
+    tau = zero_tolerance(z)
     if mu_max > tau:
         return PowerClass.FULL
     if mu_max < -tau:
@@ -226,12 +235,28 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     return BoundaryStrategy(direction=w, power=power, lam=lam, e=e, power_class=cls)
 
 
+def unit_gains(channels, w) -> np.ndarray:
+    """Unit-power gains |w^H h_l|^2 of a beamformer at every channel."""
+    w = as_cvec(w)
+    return np.array([abs(np.vdot(w, as_cvec(h))) ** 2 for h in channels])
+
+
 def strategy_gains(channels, strategy: BoundaryStrategy) -> np.ndarray:
     """Gain tuple realized by a boundary strategy at every receiver."""
-    w = strategy.direction
-    return np.array(
-        [strategy.power * abs(np.vdot(w, as_cvec(h))) ** 2 for h in channels]
-    )
+    return strategy.power * unit_gains(channels, strategy.direction)
+
+
+def boundary_table(channels, grid, e) -> tuple[list[BoundaryStrategy], np.ndarray]:
+    """Boundary strategies at every weight row of ``grid`` and their gains.
+
+    Returns the strategies of boundary_strategy (free class at its default
+    full power) and a (G, K) array whose row g holds the unit-power gains
+    of strategy g at the K receivers; a strategy's realized gains are its
+    power times that row.  Every sweep builds on this table.
+    """
+    vecs = [as_cvec(h) for h in channels]
+    strategies = [boundary_strategy(vecs, lam, e) for lam in grid]
+    return strategies, np.array([unit_gains(vecs, s.direction) for s in strategies])
 
 
 def needs_power_control(n_antennas: int, e) -> bool:
@@ -269,26 +294,16 @@ def sweep_boundary(channels, e, step: float, p_free_samples: int = 11) -> list[B
         raise ValueError(f"{len(vecs)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
-    grid = simplex_grid(len(vecs), step)
+    strategies, gains = boundary_table(vecs, simplex_grid(len(vecs), step), e)
     fan_out = needs_power_control(vecs[0].size, e)
     p_levels = np.linspace(0.0, 1.0, p_free_samples)
     out = []
-    for lam in grid:
-        base = boundary_strategy(vecs, lam, e)
+    for base, g in zip(strategies, gains):
         if base.power_class is PowerClass.FREE and fan_out:
-            for p in p_levels:
-                strat = BoundaryStrategy(
-                    direction=base.direction,
-                    power=float(p),
-                    lam=base.lam,
-                    e=base.e,
-                    power_class=base.power_class,
-                )
-                out.append(BoundarySample(lam=base.lam, strategy=strat,
-                                          gains=strategy_gains(vecs, strat)))
+            rows = [replace(base, power=float(p)) for p in p_levels]
         else:
-            out.append(BoundarySample(lam=base.lam, strategy=base,
-                                      gains=strategy_gains(vecs, base)))
+            rows = [base]
+        out.extend(BoundarySample(lam=s.lam, strategy=s, gains=s.power * g) for s in rows)
     return out
 
 

@@ -100,10 +100,10 @@ def suite_hyperplane(
         done = stop
     assert done == trials
     worst_attain = 0.0
-    for lam, bound in zip(grid, bounds):
-        strat = region.boundary_strategy(channels, lam, e)
+    strategies, table = region.boundary_table(channels, grid, e)
+    for lam, bound, strat, g in zip(grid, bounds, strategies, table):
         if strat.power_class is region.PowerClass.FULL:
-            value = region.weighted_objective(region.strategy_gains(channels, strat), lam, e)
+            value = region.weighted_objective(strat.power * g, lam, e)
             worst_attain = max(worst_attain, abs(value - bound))
     box = np.array([float(np.real(np.vdot(h, h))) for h in channels])
     box_excess = float((gains - box[None, :]).max())
@@ -160,7 +160,7 @@ def suite_power_rule(seed: int = 0, trials: int = 500, scenario: Scenario | None
     for lam in lams:
         z = weighted_combination(channels, lam, e)
         mu_max = float(eig_hermitian(z).values[-1])
-        tau = region.ZERO_EIG_RTOL * (1.0 + float(np.abs(z).max()))
+        tau = region.zero_tolerance(z)
         cls = region.power_rule(z)
         expected = (
             region.PowerClass.FULL

@@ -203,6 +203,14 @@ def test_sweep_budget_enforced():
         sweep_utility_region(s, step=1.0 / 15, point_budget=4000)
 
 
+def test_sweep_budget_counts_huge_grids_exactly():
+    # Five transmitters with 10,626 weights and 21 power levels each: the
+    # point count is about 5.5e26, which wraps around in int64.
+    s = ic_scenario(seed=1, users=5, antennas=2)
+    with pytest.raises(ValueError, match="above the budget"):
+        sweep_utility_region(s, step=0.05)
+
+
 def test_sweep_matches_scalar_path():
     s = ic_scenario(seed=9, users=2, antennas=2, snr_db=5.0)
     spec = UtilitySpec.from_scenario(s)
@@ -333,6 +341,16 @@ def test_two_user_combination_lies_on_boundary(rng):
     lam1, alignment = alignment_search(w, own, cross)
     assert 0.0 < lam1 < 1.0
     assert alignment >= 1.0 - 1e-6
+
+
+def test_alignment_search_recovers_boundary_parameter(rng):
+    for n in (2, 3, 4):
+        own, cross = random_channels(rng, n, 2)
+        for lam1 in (0.1, 0.5, 0.9):
+            v = two_user_boundary_vector(lam1, own, cross)
+            found, alignment = alignment_search(v, own, cross)
+            assert abs(found - lam1) <= 1e-9
+            assert alignment >= 1.0 - 1e-12
 
 
 def test_two_user_identity_residual(rng):

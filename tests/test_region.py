@@ -6,6 +6,7 @@ from gainregion.region import (
     BoundaryStrategy,
     PowerClass,
     boundary_strategy,
+    boundary_table,
     dominates,
     full_power_completion,
     hyperplane_bound,
@@ -206,6 +207,35 @@ def test_sweep_boundary_power_control_fan_out(rng):
     ]
     for row in by_class[PowerClass.ZERO]:
         assert np.allclose(row.gains, 0.0)
+
+
+def test_boundary_table_matches_scalar_strategies(rng):
+    # N < K, so the table holds full, free and zero rows.
+    channels = random_channels(rng, 2, 3)
+    e = np.array([1, -1, -1])
+    grid = simplex_grid(3, 0.1)
+    strategies, gains = boundary_table(channels, grid, e)
+    assert len(strategies) == len(grid) and gains.shape == (len(grid), 3)
+    assert {s.power_class for s in strategies} == set(PowerClass)
+    for lam, strat, row in zip(grid, strategies, gains):
+        ref = boundary_strategy(channels, lam, e)
+        assert np.array_equal(strat.lam, lam)
+        assert np.array_equal(strat.direction, ref.direction)
+        assert strat.power_class is ref.power_class
+        assert strat.power == ref.power
+        w = ref.direction
+        assert np.array_equal(row, [abs(np.vdot(w, h)) ** 2 for h in channels])
+
+
+def test_sweep_boundary_rows_match_strategy_gains(rng):
+    channels = random_channels(rng, 2, 3)
+    e = np.array([1, -1, -1])
+    rows = sweep_boundary(channels, e, 0.1, p_free_samples=5)
+    free = [row for row in rows if row.strategy.power_class is PowerClass.FREE]
+    assert len(free) > 5  # the free rows fan out over the power samples
+    assert {row.strategy.power for row in free} == {0.0, 0.25, 0.5, 0.75, 1.0}
+    for row in rows:
+        assert np.array_equal(row.gains, strategy_gains(channels, row.strategy))
 
 
 def test_sweep_boundary_no_fan_out_when_full_power_suffices(rng):
