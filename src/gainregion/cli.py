@@ -136,9 +136,7 @@ def cmd_sweep_rates(args) -> int:
     noise = snr_to_noise(args.snr_db) if args.snr_db is not None else scenario.noise_power
     spec = UtilitySpec.from_scenario(scenario, noise_power=noise)
     sweep = sweep_utility_region(scenario, spec, args.step, point_budget=args.budget)
-    keep = range(len(sweep))
-    if args.filter:
-        keep = pareto_filter(sweep.utilities)
+    keep = pareto_filter(sweep.utilities) if args.filter else range(len(sweep))
     columns = list(sweep.parameter_columns) + list(sweep.utility_columns)
     meta = {
         "generator": f"gainregion {__version__} sweep-rates",
@@ -146,7 +144,7 @@ def cmd_sweep_rates(args) -> int:
         "noise_power": _fmt(noise),
         "step": _fmt(args.step),
         "filtered": str(bool(args.filter)).lower(),
-        "rows": len(keep) if args.filter else len(sweep),
+        "rows": len(keep),
         "grid_points": len(sweep),
     }
 
@@ -157,8 +155,7 @@ def cmd_sweep_rates(args) -> int:
             yield row
 
     _write_point_cloud(args.out, meta, columns, rows())
-    n_rows = len(keep) if args.filter else len(sweep)
-    print(f"wrote {args.out}: {n_rows} rows from {len(sweep)} grid points")
+    print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")
     return 0
 
 

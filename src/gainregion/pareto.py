@@ -41,6 +41,7 @@ from .region import (
     boundary_table,
     needs_power_control,
     simplex_grid,
+    simplex_grid_size,
     strategy_gains,
     unit_gains,
 )
@@ -256,29 +257,35 @@ class SweepAxis:
         return self.values.shape[0]
 
 
-def sweep_axes(s: Scenario, step: float) -> list[SweepAxis]:
-    """Axes of the joint grid: lambdas, then group splits, then powers.
+def _axis_plan(s: Scenario) -> list[tuple[str, object, tuple[str, ...], int]]:
+    """Kind, label, columns and part count of each axis of the joint grid.
 
-    A power axis is added only for transmitters whose antenna count does
-    not exceed their number of unintended receivers, the regime where
-    boundary points below full power exist.
+    Lambda and split axes are simplex grids over their part count; a power
+    axis has the m + 1 levels of a two-part grid.  Power axes exist only for
+    transmitters with no more antennas than unintended receivers, the
+    regime where boundary points below full power exist.
     """
-    k = s.n_receivers
-    axes = []
+    plan = []
     for t in s.transmitters:
         cols = tuple(f"lam_{t.tid}_{r}" for r in s.receivers)
-        axes.append(SweepAxis("lambda", t.tid, cols, simplex_grid(k, step)))
+        plan.append(("lambda", t.tid, cols, s.n_receivers))
     for g in s.power_groups:
         if len(g) > 1:
-            cols = tuple(f"split_{tid}" for tid in g)
-            axes.append(SweepAxis("split", g, cols, simplex_grid(len(g), step)))
-    m = round(1.0 / step)
-    p_grid = np.linspace(0.0, 1.0, m + 1).reshape(-1, 1)
+            plan.append(("split", g, tuple(f"split_{tid}" for tid in g), len(g)))
     for t in s.transmitters:
-        e = direction_vector(s, t.tid)
-        if needs_power_control(t.n_antennas, e):
-            axes.append(SweepAxis("power", t.tid, (f"p_{t.tid}",), p_grid))
-    return axes
+        if needs_power_control(t.n_antennas, direction_vector(s, t.tid)):
+            plan.append(("power", t.tid, (f"p_{t.tid}",), 2))
+    return plan
+
+
+def sweep_axes(s: Scenario, step: float) -> list[SweepAxis]:
+    """Axes of the joint grid: lambdas, then group splits, then powers."""
+    plan = _axis_plan(s)
+    p_grid = np.linspace(0.0, 1.0, simplex_grid_size(2, step)).reshape(-1, 1)
+    return [
+        SweepAxis(kind, label, cols, p_grid if kind == "power" else simplex_grid(parts, step))
+        for kind, label, cols, parts in plan
+    ]
 
 
 def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
@@ -387,19 +394,20 @@ def sweep_utility_region(
     The enumeration is the Cartesian product of every transmitter's
     simplex grid, every multi-member group's split grid and, where power
     control applies, a power grid with the same spacing; rows come out in
-    lexicographic order.  Refuses grids larger than ``point_budget``.
+    lexicographic order.  Grids larger than ``point_budget`` are refused
+    after counting, before any axis is built.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
     if spec.n_receivers != s.n_receivers:
         raise ValueError("utility spec receiver count does not match the scenario")
-    axes = sweep_axes(s, step)
-    shape = tuple(len(ax) for ax in axes)
-    n_points = math.prod(shape)
+    n_points = math.prod(simplex_grid_size(parts, step) for *_, parts in _axis_plan(s))
     if n_points > point_budget:
         raise ValueError(
             f"sweep would produce {n_points} points, above the budget of {point_budget}"
         )
+    axes = sweep_axes(s, step)
+    shape = tuple(len(ax) for ax in axes)
     fields = _gain_fields(s, axes)
     slab_shape = shape[1:]
     slab_n = math.prod(slab_shape)
@@ -422,84 +430,66 @@ def pareto_filter(points) -> list[int]:
     """Indices of the nondominated utility points (larger is better).
 
     A point is dropped when some other point is componentwise >= and
-    strictly greater in at least one coordinate; exact duplicates are all
-    retained.  The result is deterministic and sorted ascending.
+    strictly greater in at least one coordinate, so every exact duplicate
+    of a kept point is kept.  Points must be finite; the result is sorted.
 
-    Points are processed in descending lexicographic order, so earlier
-    points can never be dominated by later ones; up to three dimensions a
-    staircase structure answers the domination query in O(log n), with an
-    exact pairwise fallback on ties.
+    The distinct points are swept once in descending lexicographic order,
+    where an earlier point >= a later one everywhere dominates it, so no
+    query needs a tie rule.  Up to three dimensions a staircase answers
+    each query in O(log n); above, each point is compared with the front.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D point list, got shape {pts.shape}")
-    n, d = pts.shape
-    order = np.lexsort(tuple(-pts[:, j] for j in range(d - 1, -1, -1)))
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain non-finite entries")
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    descending = distinct[::-1]
+    n, d = descending.shape
     if d <= 3:
-        padded = pts if d == 3 else np.hstack([pts, np.zeros((n, 3 - d))])
-        kept_idx = _filter_staircase3(padded, order)
+        kept = _filter_staircase3(np.hstack([descending, np.zeros((n, 3 - d))]))
     else:
-        kept_idx = _filter_scan(pts, order)
-    return sorted(kept_idx)
+        kept = _filter_scan(descending)
+    keep = np.zeros(n, dtype=bool)
+    keep[kept] = True
+    return np.flatnonzero(keep[::-1][inverse.reshape(-1)]).tolist()
 
 
-def _filter_scan(pts: np.ndarray, order: np.ndarray) -> list[int]:
-    """One pass against the kept set, exact in any dimension."""
-    n, d = pts.shape
-    kept = np.empty((n, d))
-    kept_n = 0
-    kept_idx = []
-    for i in order:
-        y = pts[i]
-        if kept_n:
-            front = kept[:kept_n]
-            mask = (front >= y).all(axis=1)
-            if mask.any() and (front[mask] > y).any():
-                continue
-        kept[kept_n] = y
-        kept_n += 1
-        kept_idx.append(int(i))
-    return kept_idx
+def _filter_scan(pts: np.ndarray) -> list[int]:
+    """Kept positions of distinct, descending points: one pass against the front."""
+    front = np.empty_like(pts)
+    kept = []
+    for i, y in enumerate(pts):
+        if (front[: len(kept)] >= y).all(axis=1).any():
+            continue
+        front[len(kept)] = y
+        kept.append(i)
+    return kept
 
 
-def _filter_staircase3(pts: np.ndarray, order: np.ndarray) -> list[int]:
-    """Sorted sweep for 3-D points with a (y, z) suffix-max staircase.
+def _filter_staircase3(pts: np.ndarray) -> list[int]:
+    """Kept positions of distinct, descending 3-D points: a (y, z) staircase sweep.
 
-    After sorting, every processed point has coordinate 0 >= the
-    candidate's, so the candidate is dominated iff some kept point also
-    beats it on coordinates 1 and 2; the staircase (ys nondecreasing, zs
-    nonincreasing) answers max{z : y >= q} by bisection.  Exact-tie cases
-    fall back to a full comparison against the kept rows.
+    Every processed point has coordinate 0 >= the candidate's, so the
+    candidate is dominated iff some kept point is also >= it on
+    coordinates 1 and 2; the staircase (ys nondecreasing, zs
+    nonincreasing) answers max{z : y >= q} by bisection.
     """
-    n = pts.shape[0]
     ys: list[float] = []
     zs: list[float] = []
-    kept = np.empty((n, 3))
-    kept_n = 0
-    kept_idx = []
-    for i in order:
-        y1 = pts[i, 1]
-        y2 = pts[i, 2]
-        pos = bisect.bisect_left(ys, y1)
-        best = zs[pos] if pos < len(ys) else -np.inf
-        if best > y2:
+    kept = []
+    for i, (_, y, z) in enumerate(pts.tolist()):
+        pos = bisect.bisect_left(ys, y)
+        if pos < len(ys) and zs[pos] >= z:
             continue
-        if best == y2 and kept_n:
-            front = kept[:kept_n]
-            mask = (front >= pts[i]).all(axis=1)
-            if mask.any() and (front[mask] > pts[i]).any():
-                continue
-        kept[kept_n] = pts[i]
-        kept_n += 1
-        kept_idx.append(int(i))
-        if best < y2:
-            # Drop prefix entries the new pair dominates in 2-D.
-            j = pos
-            while j > 0 and zs[j - 1] <= y2:
-                j -= 1
-            ys[j:pos] = [y1]
-            zs[j:pos] = [y2]
-    return kept_idx
+        kept.append(i)
+        # Drop prefix entries the new pair dominates in 2-D.
+        j = pos
+        while j > 0 and zs[j - 1] <= z:
+            j -= 1
+        ys[j:pos] = [y]
+        zs[j:pos] = [z]
+    return kept
 
 
 def pareto_filter_bruteforce(points) -> list[int]:

@@ -12,6 +12,7 @@ maps receivers 1..K onto positions 0..K-1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "BoundaryStrategy",
     "BoundarySample",
     "simplex_grid",
+    "simplex_grid_size",
     "check_simplex_weight",
     "check_direction",
     "power_gain",
@@ -68,12 +70,11 @@ class PowerClass(enum.Enum):
     ZERO = "zero"
 
 
-def simplex_grid(k: int, step: float) -> np.ndarray:
-    """All weight vectors on the K-simplex with the given grid spacing.
+def simplex_grid_size(k: int, step: float) -> int:
+    """Row count of ``simplex_grid(k, step)``, counted without building it.
 
-    ``step`` must divide 1 (within 1e-12).  Rows are ordered
-    lexicographically ascending; the row count is C(m + K - 1, K - 1) for
-    m = 1/step.
+    ``step`` must divide 1 (within 1e-12); the count is C(m + K - 1, K - 1)
+    for m = 1/step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -82,6 +83,17 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-12 * max(1, m):
         raise ValueError(f"step {step} does not divide 1")
+    return math.comb(m + k - 1, k - 1)
+
+
+def simplex_grid(k: int, step: float) -> np.ndarray:
+    """All weight vectors on the K-simplex with the given grid spacing.
+
+    Rows are ordered lexicographically ascending; ``simplex_grid_size``
+    validates the arguments and gives the row count.
+    """
+    simplex_grid_size(k, step)
+    m = round(1.0 / step)
     rows = []
 
     def build(prefix, remaining, parts):

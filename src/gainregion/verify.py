@@ -66,18 +66,13 @@ def suite_convexity(seed: int = 0, trials: int = 1000, scenario: Scenario | None
     ]
 
 
-def suite_hyperplane(
-    seed: int = 0,
-    trials: int = 100_000,
-    scenario: Scenario | None = None,
-    step: float = 0.02,
-) -> list[Check]:
+def suite_hyperplane(seed: int = 0, trials: int = 100_000, scenario: Scenario | None = None) -> list[Check]:
     """No feasible covariance beats the top-eigenvalue bound on any grid
     weighting; full-class boundary strategies attain it."""
     rng = np.random.default_rng(seed)
     channels = _scenario_channels(scenario, 3, 3) or _random_channels(rng, 3, 3)
     e = np.array([1, -1, -1])
-    grid = region.simplex_grid(3, step)
+    grid = region.simplex_grid(3, 0.02)
     weights = grid * e  # (G, 3)
     bounds = np.array([region.hyperplane_bound(channels, lam, e) for lam in grid])
     gains = np.empty((trials, 3))
@@ -195,7 +190,7 @@ def suite_power_rule(seed: int = 0, trials: int = 500, scenario: Scenario | None
     ]
 
 
-def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None = None, alignments: int = 6) -> list[Check]:
+def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None = None) -> list[Check]:
     """Projector identity residuals and MRT/ZF-combination alignment."""
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
@@ -207,7 +202,7 @@ def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None =
     worst_alignment = 1.0
     for n in (2, 3, 4):
         own, cross = _random_channels(rng, n, 2)
-        for lam_hat in np.linspace(0.0, 1.0, alignments):
+        for lam_hat in np.linspace(0.0, 1.0, 6):
             w = pareto.two_user_combination(float(lam_hat), own, cross)
             _, alignment = pareto.alignment_search(w, own, cross)
             worst_alignment = min(worst_alignment, alignment)
@@ -222,9 +217,7 @@ def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None =
     ]
 
 
-def suite_null_shaping(
-    seed: int = 0, trials: int = 200, scenario: Scenario | None = None, probes: int = 50
-) -> list[Check]:
+def suite_null_shaping(seed: int = 0, trials: int = 200, scenario: Scenario | None = None) -> list[Check]:
     """Projected MRT reproduces the boundary-strategy gains exactly."""
     rng = np.random.default_rng(seed)
     channels = _scenario_channels(scenario, 4, 3) or _random_channels(rng, 4, 3)
@@ -240,7 +233,7 @@ def suite_null_shaping(
     for i, lam in enumerate(lams):
         worst_gain = max(
             worst_gain,
-            nullshape.verify_gain_equivalence(channels, lam, e, probes=probes, seed=seed + i),
+            nullshape.verify_gain_equivalence(channels, lam, e, probes=50, seed=seed + i),
         )
         diag = nullshape.eigenvalue_structure(channels, lam, e)
         worst_structure = max(
@@ -265,28 +258,35 @@ def suite_null_shaping(
 
 
 def suite_pareto_oracle(seed: int = 0, trials: int = 1000, scenario: Scenario | None = None) -> list[Check]:
-    """Fast nondominated filter agrees with the pairwise reference scan."""
+    """Fast nondominated filter agrees with the pairwise reference scan on a
+    3-D cloud (staircase path) and a 4-D cloud (scan path)."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(trials, 3))
-    # Plant duplicates and weakly dominated points.
-    n_special = max(trials // 20, 1)
-    for i in range(n_special):
-        j = int(rng.integers(0, trials))
-        pts[i] = pts[j]
-    for i in range(n_special, 2 * n_special):
-        j = int(rng.integers(0, trials))
-        pts[i] = pts[j]
-        pts[i, int(rng.integers(0, 3))] -= 0.1
-    fast = pareto.pareto_filter(pts)
-    slow = pareto.pareto_filter_bruteforce(pts)
-    agree = fast == slow
+    mismatches = 0
+    agree = True
+    counts = []
+    for d in (3, 4):
+        pts = rng.uniform(0.0, 1.0, size=(trials, d))
+        # Plant duplicates and weakly dominated points.
+        n_special = max(trials // 20, 1)
+        for i in range(n_special):
+            j = int(rng.integers(0, trials))
+            pts[i] = pts[j]
+        for i in range(n_special, 2 * n_special):
+            j = int(rng.integers(0, trials))
+            pts[i] = pts[j]
+            pts[i, int(rng.integers(0, d))] -= 0.1
+        fast = pareto.pareto_filter(pts)
+        slow = pareto.pareto_filter_bruteforce(pts)
+        mismatches += len(set(fast) ^ set(slow))
+        agree = agree and fast == slow
+        counts.append(f"{len(fast)} nondominated of {trials} in {d}-D")
     return [
         Check(
             "filter matches pairwise oracle",
-            float(len(set(fast) ^ set(slow))),
+            float(mismatches),
             0,
             agree,
-            detail=f"{len(fast)} nondominated of {trials}",
+            detail=", ".join(counts),
         )
     ]
 

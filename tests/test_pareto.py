@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gainregion import pareto
 from gainregion.network import (
     direction_vector,
     generate_channels,
@@ -211,6 +215,21 @@ def test_sweep_budget_counts_huge_grids_exactly():
         sweep_utility_region(s, step=0.05)
 
 
+def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
+    # Five lambda axes of C(54, 4) = 316,251 weights and five power axes.
+    built = []
+
+    def spy(k, step):
+        built.append((k, step))
+        raise AssertionError("a simplex grid was built")
+
+    monkeypatch.setattr(pareto, "simplex_grid", spy)
+    s = ic_scenario(seed=1, users=5, antennas=2)
+    with pytest.raises(ValueError, match="above the budget"):
+        sweep_utility_region(s, step=0.02)
+    assert built == []
+
+
 def test_sweep_matches_scalar_path():
     s = ic_scenario(seed=9, users=2, antennas=2, snr_db=5.0)
     spec = UtilitySpec.from_scenario(s)
@@ -315,6 +334,28 @@ def test_pareto_filter_invariant_under_monotone_transforms(rng):
 def test_pareto_filter_tie_columns(rng):
     # Many shared coordinates stress the tie fallback.
     pts = np.round(rng.uniform(0, 1, (500, 3)), 1)
+    assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
+
+
+def test_pareto_filter_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            pareto_filter([[1.0, 2.0], [bad, 0.5], [0.5, 1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 60), st.just(d)),
+            elements=st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]),
+        )
+    )
+)
+def test_pareto_filter_matches_bruteforce_on_dense_ties(pts):
+    # Values in 0..3 (with both signed zeros) make exact duplicates and
+    # shared coordinates common on every path: d <= 3 and the d > 3 scan.
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
 
 

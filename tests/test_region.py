@@ -16,6 +16,7 @@ from gainregion.region import (
     random_feasible_covariance,
     segment_covariance,
     simplex_grid,
+    simplex_grid_size,
     strategy_gains,
     sweep_boundary,
     weighted_objective,
@@ -147,6 +148,14 @@ def test_simplex_grid_counts():
     assert simplex_grid(2, 0.02).shape == (51, 2)
     assert simplex_grid(3, 0.02).shape == (1326, 3)
     assert simplex_grid(3, 0.1).shape == (66, 3)
+
+
+def test_simplex_grid_size_counts_without_building():
+    for k, step in ((1, 0.5), (2, 0.02), (3, 0.1), (4, 0.25), (5, 1.0)):
+        assert simplex_grid_size(k, step) == len(simplex_grid(k, step))
+    assert simplex_grid_size(8, 0.01) == 26_075_972_546  # C(107, 7)
+    with pytest.raises(ValueError, match="divide"):
+        simplex_grid_size(3, 0.3)
 
 
 def test_simplex_grid_rejects_bad_step():
