@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_RTOL",
-    "MULTIPLICITY_RTOL",
+    "EIG_RTOL",
     "RANK_RTOL",
     "DegenerateEigenspaceWarning",
     "EigenSystem",
@@ -28,6 +28,7 @@ __all__ = [
     "eig_hermitian",
     "dominant_eigpair",
     "dominant_eigvec",
+    "eig_tolerance",
     "tied_blocks",
     "split_ties",
     "projector_onto",
@@ -37,9 +38,9 @@ __all__ = [
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
-# Relative gap below which eigenvalues are treated as one multiple
-# eigenvalue (a tie-break rule then picks the eigenvectors).
-MULTIPLICITY_RTOL = 1e-9
+# Fraction of the largest eigenvalue magnitude within which eigenvalues
+# count as tied, or as zero (see eig_tolerance).
+EIG_RTOL = 1e-9
 # Smallest/largest singular value ratio below which a column set is
 # treated as rank deficient.
 RANK_RTOL = 1e-12
@@ -162,20 +163,26 @@ def eig_hermitian(z) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _span_tiebreak(eigvecs: np.ndarray, span_basis, full: bool = False) -> np.ndarray | None:
+def eig_tolerance(values) -> float:
+    """Half-width EIG_RTOL * max|eigenvalue| of the bands in which
+    eigenvalues count as tied, or as zero; scaling the matrix by c > 0
+    changes no decision made with it.  ``values`` must be nondecreasing."""
+    return EIG_RTOL * max(-float(values[0]), float(values[-1]))
+
+
+def _span_tiebreak(eigvecs: np.ndarray, span_basis) -> np.ndarray | None:
     """Rank the members of an eigenspace by their alignment with a span.
 
     The degenerate eigenspace columns are orthonormal; the span basis is
     projected onto them.  Returns the left singular vectors of the
-    projected coordinates (coordinates in the eigenspace), best aligned
-    first, or None when the projection is numerically zero.  ``full``
-    completes them to a unitary matrix.
+    projected coordinates as a unitary matrix (coordinates in the
+    eigenspace), best aligned first, or None when the projection is
+    numerically zero.
     """
     basis = np.column_stack([as_cvec(b) for b in span_basis])
     coords = eigvecs.conj().T @ basis
-    u, s, _ = np.linalg.svd(coords, full_matrices=full)
-    col_scale = np.linalg.norm(basis, axis=0).max(initial=0.0)
-    if s.size == 0 or s[0] <= RANK_RTOL * max(1.0, col_scale):
+    u, s, _ = np.linalg.svd(coords)
+    if s.size == 0 or s[0] <= RANK_RTOL * np.linalg.norm(basis, axis=0).max():
         return None
     return u
 
@@ -192,37 +199,24 @@ def _warn_trivial_span() -> None:
 def _block_start(values: np.ndarray, hi: int) -> int:
     """First index of the tied block whose largest member is values[hi - 1].
 
-    The block holds every eigenvalue within MULTIPLICITY_RTOL * (1 + |mu|)
-    of its largest member mu.
+    The block holds every eigenvalue within eig_tolerance(values) of its
+    largest member.
     """
     mu = float(values[hi - 1])
-    tol = MULTIPLICITY_RTOL * (1.0 + abs(mu))
-    return int(np.searchsorted(values[:hi], mu - tol, side="left"))
+    return int(np.searchsorted(values[:hi], mu - eig_tolerance(values), side="left"))
 
 
 def dominant_eigpair(z, span_basis) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a matching unit eigenvector of Hermitian z.
 
-    This is the span rule, for callers without simplex weights (the
-    two-user MRT/ZF code).  When the top eigenvalue is (numerically)
-    multiple, the eigenvector is the member of the top eigenspace best
-    aligned with the span of ``span_basis``; if the eigenspace has no
-    overlap with that span, an arbitrary eigenspace member is returned and
-    a DegenerateEigenspaceWarning is emitted.  Boundary strategies at
-    simplex weights break ties by the interior limit instead (see
-    split_ties), which can pick a different member of the eigenspace.
+    A tied top block is resolved by the span rule alone: split_ties with
+    a zero perturbation.  Boundary strategies break ties by the interior
+    limit first (region.boundary_eigensystem), which can pick another
+    member of the eigenspace.
     """
     es = eig_hermitian(z)
-    mu_max = float(es.values[-1])
-    first = _block_start(es.values, es.dim)
-    if first == es.dim - 1 or span_basis is None:
-        return mu_max, es.vectors[:, -1].copy()
-    eigvecs = es.vectors[:, first:]
-    coeffs = _span_tiebreak(eigvecs, span_basis)
-    if coeffs is None:
-        _warn_trivial_span()
-        return mu_max, es.vectors[:, -1].copy()
-    return mu_max, fix_phase(eigvecs @ coeffs[:, 0])
+    es = split_ties(es, tied_blocks(es.values), np.zeros_like(es.vectors), span_basis)
+    return float(es.values[-1]), es.vectors[:, -1].copy()
 
 
 def dominant_eigvec(z, span_basis) -> np.ndarray:
@@ -234,9 +228,8 @@ def tied_blocks(values) -> list[tuple[int, int]]:
     """Half-open index ranges of the numerically multiple eigenvalues.
 
     ``values`` must be nondecreasing.  Scanning down from the largest, each
-    block holds every eigenvalue within MULTIPLICITY_RTOL * (1 + |mu|) of
-    its largest member mu (the rule dominant_eigpair applies to the top
-    block); only blocks of two or more eigenvalues are returned.
+    block holds every eigenvalue within eig_tolerance(values) of its
+    largest member; only blocks of two or more eigenvalues are returned.
     """
     v = np.asarray(values, dtype=float)
     blocks = []
@@ -260,10 +253,10 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
     basis, ordered ascending, so the result is the limit of the
     eigensystems of Z + t D.  Eigenvalues are kept as they are.
 
-    If the split still leaves the top eigenvalue tied and ``span_basis`` is
-    given, the top sub-block falls back to the span rule of
-    dominant_eigpair: its member best aligned with the span of
-    ``span_basis`` is put last.  A
+    If the split still leaves the top eigenvalue tied (within
+    eig_tolerance of the eigenvalues of V^H D V) and ``span_basis`` is
+    given, the top sub-block falls back to the span rule: its member best
+    aligned with the span of ``span_basis`` is put last.  A
     DegenerateEigenspaceWarning is emitted when that span has no overlap
     with the sub-block, and the sub-block is kept in the split basis.
     """
@@ -276,7 +269,7 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
         v = v @ y
         first = _block_start(nu, nu.size)
         if hi == es.dim and first < nu.size - 1 and span_basis is not None:
-            coeffs = _span_tiebreak(v[:, first:], span_basis, full=True)
+            coeffs = _span_tiebreak(v[:, first:], span_basis)
             if coeffs is None:
                 _warn_trivial_span()
             else:

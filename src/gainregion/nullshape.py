@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cvec, eig_hermitian, unit, weighted_combination
+from .linalg import as_cvec, eig_tolerance, unit
 from .region import (
     boundary_eigensystem,
     boundary_strategy,
     check_direction,
     check_simplex_weight,
     unit_gains,
-    zero_tolerance,
 )
 
 __all__ = [
@@ -167,10 +166,12 @@ def verify_gain_equivalence(
 def eigenvalue_structure(channels, lam, e) -> dict:
     """Diagnostics of the eigenvalue sign pattern of the combination.
 
-    Returns the eigenvalues, the tolerance tau, the largest of the
-    low block (must be <= tau), the largest magnitude in the middle block
-    (must be <= tau), and the worst channel annihilation residual of the
-    middle-block eigenvectors over channels with positive weight.
+    Reads the eigensystem that null_constraints and boundary_strategy use
+    (``region.boundary_eigensystem``).  Returns the eigenvalues, the
+    tolerance tau = linalg.eig_tolerance of the eigenvalues, the largest
+    of the low block (must be <= tau), the largest magnitude in the middle
+    block (must be <= tau), and the worst channel annihilation residual of
+    the middle-block eigenvectors over channels with positive weight.
     """
     vecs = [as_cvec(h) for h in channels]
     lam = check_simplex_weight(lam)
@@ -179,9 +180,8 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     k = len(vecs)
     n_in = int(np.sum(e == 1))
     n_un = k - n_in
-    m = weighted_combination(vecs, lam, e)
-    es = eig_hermitian(m)
-    tau = zero_tolerance(m)
+    es = boundary_eigensystem(vecs, lam, e)
+    tau = eig_tolerance(es.values)
     low = es.values[:n_un]
     middle = es.values[n_un : n - n_in]
     annihilation = 0.0

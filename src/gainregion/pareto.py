@@ -27,7 +27,6 @@ import numpy as np
 
 from .linalg import (
     as_cvec,
-    dominant_eigpair,
     outer_product,
     projector_complement,
     projector_onto,
@@ -37,6 +36,7 @@ from .network import Scenario, direction_vector
 from .region import (
     BoundaryStrategy,
     PowerClass,
+    boundary_eigensystem,
     boundary_strategy,
     boundary_table,
     needs_power_control,
@@ -478,7 +478,7 @@ def _filter_staircase3(pts: np.ndarray) -> list[int]:
     ys: list[float] = []
     zs: list[float] = []
     kept = []
-    for i, (_, y, z) in enumerate(pts.tolist()):
+    for i, (y, z) in enumerate(zip(pts[:, 1].tolist(), pts[:, 2].tolist())):
         pos = bisect.bisect_left(ys, y)
         if pos < len(ys) and zs[pos] >= z:
             continue
@@ -540,22 +540,23 @@ def two_user_combination(lam_hat: float, h_own, h_cross) -> np.ndarray:
 
 
 def two_user_boundary_vector(lam1: float, h_own, h_cross) -> np.ndarray:
-    """Dominant eigenvector strategy for two receivers in direction (+1, -1)."""
-    own, cross = as_cvec(h_own), as_cvec(h_cross)
-    z = lam1 * outer_product(own) - (1.0 - lam1) * outer_product(cross)
-    return dominant_eigpair(z, [own, cross])[1]
+    """Boundary beamformer for two receivers in direction (+1, -1): the
+    boundary strategy at simplex weights (lam1, 1 - lam1), whose Z is
+    lam1 h1 h1^H - (1 - lam1) h2 h2^H."""
+    return boundary_strategy([h_own, h_cross], [lam1, 1.0 - lam1], [1, -1]).direction
 
 
 def verify_two_user_identity(lam1: float, h_own, h_cross) -> float:
     """Residual of the projector identity behind the MRT/ZF combination.
 
-    The dominant eigenvector w of lam1 h1 h1^H - (1 - lam1) h2 h2^H must
-    satisfy (lam1 |h1|^2 P_{h1} + (1 - lam1) |h2|^2 P^perp_{h2}) w =
+    The top eigenvector w of Z = lam1 h1 h1^H - (1 - lam1) h2 h2^H, from
+    region.boundary_eigensystem at weights (lam1, 1 - lam1), must satisfy
+    (lam1 |h1|^2 P_{h1} + (1 - lam1) |h2|^2 P^perp_{h2}) w =
     (mu + (1 - lam1) |h2|^2) w; returns the Euclidean residual.
     """
     own, cross = as_cvec(h_own), as_cvec(h_cross)
-    z = lam1 * outer_product(own) - (1.0 - lam1) * outer_product(cross)
-    mu, w = dominant_eigpair(z, [own, cross])
+    es = boundary_eigensystem([own, cross], [lam1, 1.0 - lam1], [1, -1])
+    mu, w = float(es.values[-1]), es.vectors[:, -1]
     n_own = float(np.real(np.vdot(own, own)))
     n_cross = float(np.real(np.vdot(cross, cross)))
     lhs = lam1 * n_own * projector_onto([own]) + (1.0 - lam1) * n_cross * projector_complement([cross])

@@ -21,6 +21,7 @@ from .linalg import (
     EigenSystem,
     as_cvec,
     eig_hermitian,
+    eig_tolerance,
     outer_product,
     projector_complement,
     split_ties,
@@ -30,7 +31,6 @@ from .linalg import (
 
 __all__ = [
     "SIMPLEX_TOL",
-    "ZERO_EIG_RTOL",
     "PowerClass",
     "BoundaryStrategy",
     "BoundarySample",
@@ -40,7 +40,6 @@ __all__ = [
     "check_direction",
     "power_gain",
     "power_rule",
-    "zero_tolerance",
     "boundary_eigensystem",
     "boundary_strategy",
     "unit_gains",
@@ -58,8 +57,6 @@ __all__ = [
 
 # Tolerance on simplex weights summing to one.
 SIMPLEX_TOL = 1e-12
-# Relative tolerance around zero for the top eigenvalue in the power rule.
-ZERO_EIG_RTOL = 1e-9
 
 
 class PowerClass(enum.Enum):
@@ -144,19 +141,15 @@ def power_rule(z) -> PowerClass:
     """Classify the boundary power allocation from the top eigenvalue of Z.
 
     Full when the top eigenvalue is positive, Zero when negative, Free
-    when it vanishes within tau = 1e-9 * (1 + max|Z|).
+    when it vanishes within tau = linalg.eig_tolerance of the eigenvalues,
+    so the class does not change when Z is scaled.
     """
-    return _power_class(float(eig_hermitian(z).values[-1]), z)
+    return _power_class(eig_hermitian(z).values)
 
 
-def zero_tolerance(z) -> float:
-    """Half-width tau = ZERO_EIG_RTOL * (1 + max|Z|) of the band in which an
-    eigenvalue of Z counts as zero, for the power rule and its checks."""
-    return ZERO_EIG_RTOL * (1.0 + float(np.abs(np.asarray(z)).max()))
-
-
-def _power_class(mu_max: float, z) -> PowerClass:
-    tau = zero_tolerance(z)
+def _power_class(values) -> PowerClass:
+    mu_max = float(values[-1])
+    tau = eig_tolerance(values)
     if mu_max > tau:
         return PowerClass.FULL
     if mu_max < -tau:
@@ -168,28 +161,28 @@ def boundary_eigensystem(channels, lam, e) -> EigenSystem:
     """Eigensystem of Z = sum lam_l e_l h_l h_l^H with ties broken by the
     interior limit.
 
-    On simplex faces Z can have multiple eigenvalues, and then its
-    eigenvectors are not unique.  Every tied block is resolved as the
-    limit of the eigensystems at lam + t (u - lam), t -> 0+, where u is the
-    barycentre of the simplex, i.e. by the first-order split under
-    Z_u - Z (see linalg.split_ties).  At interior weights with distinct
-    eigenvalues this is the plain eigensystem of Z.  The limit's top
-    eigenvector lies in the channel span; if the split still leaves the
-    top eigenvalue tied, the span rule picks the top member.
+    On simplex faces Z can have multiple eigenvalues (equal within
+    linalg.eig_tolerance), and then its eigenvectors are not unique.
+    Every tied block is resolved as the limit of the eigensystems at
+    lam + t (u - lam), t -> 0+, where u is the barycentre of the simplex,
+    i.e. by the first-order split under Z_u - Z (see linalg.split_ties).
+    At interior weights with distinct eigenvalues this is the plain
+    eigensystem of Z.  The limit's top eigenvector lies in the channel
+    span; if the split still leaves the top eigenvalue tied, the span rule
+    picks the top member.
     """
     vecs = [as_cvec(h) for h in channels]
-    return _boundary_eig(vecs, check_simplex_weight(lam), check_direction(e))[1]
+    return _boundary_eig(vecs, check_simplex_weight(lam), check_direction(e))
 
 
-def _boundary_eig(vecs, lam: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
-    """Z and its interior-limit eigensystem; one eigendecomposition of Z."""
-    z = weighted_combination(vecs, lam, e)
-    es = eig_hermitian(z)
+def _boundary_eig(vecs, lam: np.ndarray, e: np.ndarray) -> EigenSystem:
+    """The interior-limit eigensystem; one eigendecomposition of Z."""
+    es = eig_hermitian(weighted_combination(vecs, lam, e))
     blocks = tied_blocks(es.values)
     if blocks:
         # Z_u - Z = sum (1/K - lam_l) e_l h_l h_l^H
         es = split_ties(es, blocks, weighted_combination(vecs, 1.0 / lam.size - lam, e), vecs)
-    return z, es
+    return es
 
 
 @dataclass(frozen=True)
@@ -233,9 +226,9 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     lam = check_simplex_weight(lam)
     e = check_direction(e)
     vecs = [as_cvec(h) for h in channels]
-    z, es = _boundary_eig(vecs, lam, e)
+    es = _boundary_eig(vecs, lam, e)
     w = es.vectors[:, -1].copy()
-    cls = _power_class(float(es.values[-1]), z)
+    cls = _power_class(es.values)
     if cls is PowerClass.FULL:
         power = 1.0
     elif cls is PowerClass.ZERO:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nullshape, pareto, region
-from .linalg import eig_hermitian, weighted_combination
+from .linalg import eig_hermitian, eig_tolerance, weighted_combination
 from .network import Scenario
 
 __all__ = ["Check", "SUITES", "run_suite", "suite_names"]
@@ -154,8 +154,9 @@ def suite_power_rule(seed: int = 0, trials: int = 500, scenario: Scenario | None
     worst_free_spread = 0.0
     for lam in lams:
         z = weighted_combination(channels, lam, e)
-        mu_max = float(eig_hermitian(z).values[-1])
-        tau = region.zero_tolerance(z)
+        values = eig_hermitian(z).values
+        mu_max = float(values[-1])
+        tau = eig_tolerance(values)
         cls = region.power_rule(z)
         expected = (
             region.PowerClass.FULL

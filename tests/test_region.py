@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainregion.linalg import outer_product, projector_complement
 from gainregion.region import (
@@ -19,6 +21,7 @@ from gainregion.region import (
     simplex_grid_size,
     strategy_gains,
     sweep_boundary,
+    unit_gains,
     weighted_objective,
 )
 
@@ -133,6 +136,77 @@ def test_boundary_strategy_face_weights_are_interior_limits(rng):
         w = boundary_strategy(channels, lam, e).direction
         w_in = boundary_strategy(channels, lam + 1e-6 * (u - lam), e).direction
         assert 1.0 - abs(np.vdot(w, w_in)) ** 2 <= 1e-8, lam
+
+
+# ----------------------------------------------------------- symmetries
+
+
+@st.composite
+def boundary_instances(draw):
+    """Channels, simplex weights and a direction.  The weights lie on a
+    random face (often the whole simplex), either at its barycentre (so
+    vertices and edge midpoints occur, where Z has multiple eigenvalues)
+    or at a Dirichlet draw on it."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = np.ones(k)
+    if draw(st.booleans()):
+        support = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any)), float)
+    lam = support if draw(st.integers(0, 2)) == 0 else rng.dirichlet(np.ones(k)) * support
+    e = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k).filter(lambda d: 1 in d))
+    return random_channels(rng, n, k), lam / lam.sum(), np.array(e)
+
+
+def _misalignment(w, v) -> float:
+    return 1.0 - abs(np.vdot(w, v)) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_instances(), st.floats(-8.0, 8.0))
+def test_boundary_strategy_is_scale_invariant(instance, log10_c):
+    # Scaling every channel by c scales Z by c^2: neither the power class
+    # nor the direction may depend on the units of the channels.
+    channels, lam, e = instance
+    c = 10.0**log10_c
+    s = boundary_strategy(channels, lam, e)
+    s_c = boundary_strategy([c * h for h in channels], lam, e)
+    assert s_c.power_class is s.power_class
+    assert _misalignment(s.direction, s_c.direction) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_instances(), st.randoms(use_true_random=False))
+def test_boundary_strategy_is_permutation_equivariant(instance, random):
+    # Relabelling the receivers (channels, weights and directions together)
+    # leaves the beamformer alone and permutes its gains.
+    channels, lam, e = instance
+    perm = list(range(len(channels)))
+    random.shuffle(perm)
+    s = boundary_strategy(channels, lam, e)
+    s_p = boundary_strategy([channels[i] for i in perm], lam[perm], e[perm])
+    assert s_p.power_class is s.power_class
+    assert _misalignment(s.direction, s_p.direction) <= 1e-10
+    scale = max(np.linalg.norm(h) ** 2 for h in channels)
+    gains = strategy_gains(channels, s)
+    permuted = strategy_gains([channels[i] for i in perm], s_p)
+    assert np.abs(permuted - gains[perm]).max() <= 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_instances(), st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4))
+def test_channel_phases_leave_gains_unchanged(instance, phases):
+    # Gains see a channel only through |w^H h|^2, so a phase per channel
+    # changes neither the gains of a beamformer nor the boundary strategy.
+    channels, lam, e = instance
+    rotated = [np.exp(1j * t) * h for t, h in zip(phases, channels)]
+    s = boundary_strategy(channels, lam, e)
+    scale = max(np.linalg.norm(h) ** 2 for h in channels)
+    gains = unit_gains(channels, s.direction)
+    assert np.abs(unit_gains(rotated, s.direction) - gains).max() <= 1e-12 * scale
+    s_r = boundary_strategy(rotated, lam, e)
+    assert s_r.power_class is s.power_class
+    assert np.abs(unit_gains(rotated, s_r.direction) - gains).max() <= 1e-9 * scale
 
 
 # ------------------------------------------------------------------ grid
