@@ -3,7 +3,8 @@
 All functions here are pure: they validate their inputs and never
 mutate them.  Eigenvalues are always returned in nondecreasing order, and
 eigenvectors carry a fixed phase (first nonzero component real and
-positive) so identical inputs produce bit-identical outputs.
+positive) so identical inputs produce bit-identical outputs.  Entry g of
+a stacked result is bitwise the result for entry g alone.
 """
 
 from __future__ import annotations
@@ -72,19 +73,22 @@ def unit(v) -> np.ndarray:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate v so that its first nonzero component is real and positive.
+    """Rotate v, shape (N,), or each column of v, shape (..., N, M), so
+    that its first nonzero component is real and positive.
 
     Beamformers only enter results through squared magnitudes, so a global
     phase is free; fixing it makes outputs reproducible.
     """
     v = np.asarray(v, dtype=np.complex128)
+    if v.ndim == 1:
+        return fix_phase(v[:, None])[:, 0]
     mags = np.abs(v)
-    scale = mags.max(initial=0.0)
-    if scale == 0.0:
-        return v.copy()
-    idx = int(np.argmax(mags > _PHASE_RTOL * scale))
-    pivot = v[idx]
-    return v * (pivot.conjugate() / abs(pivot))
+    scale = mags.max(axis=-2, keepdims=True, initial=0.0)
+    idx = np.argmax(mags > _PHASE_RTOL * scale, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, idx, axis=-2)
+    size = np.hypot(pivot.real, pivot.imag)  # = scalar abs(); np.abs may differ
+    zero = size == 0.0  # an all-zero column stays as it is
+    return v * np.where(zero, 1.0, pivot.conjugate() / np.where(zero, 1.0, size))
 
 
 def outer_product(h) -> np.ndarray:
@@ -96,47 +100,51 @@ def outer_product(h) -> np.ndarray:
 def weighted_combination(channels, weights, directions) -> np.ndarray:
     """Weighted Hermitian combination  sum_l w_l e_l h_l h_l^H.
 
-    ``channels`` is a sequence of equal-dimension complex vectors,
-    ``weights`` a real vector and ``directions`` a +-1 vector of the same
-    length.
+    ``channels`` is a sequence of K equal-dimension complex vectors,
+    ``directions`` a +-1 vector of length K and ``weights`` a real vector
+    of length K (one (N, N) matrix) or a (G, K) array of weight rows (a
+    (G, N, N) stack, the terms added in the same order for every row).
     """
     vecs = [as_cvec(h) for h in channels]
     w = np.asarray(weights, dtype=float)
     e = np.asarray(directions, dtype=float)
-    if not (len(vecs) == w.size == e.size):
+    if w.ndim not in (1, 2) or not (len(vecs) == w.shape[-1] == e.size):
         raise ValueError(
-            f"length mismatch: {len(vecs)} channels, {w.size} weights, {e.size} directions"
+            f"length mismatch: {len(vecs)} channels, weights {w.shape}, {e.size} directions"
         )
     dim = vecs[0].size
     for i, v in enumerate(vecs):
         if v.size != dim:
             raise ValueError(f"channel {i} has dimension {v.size}, expected {dim}")
-    z = np.zeros((dim, dim), dtype=np.complex128)
-    for wl, el, v in zip(w, e, vecs):
-        z += (wl * el) * np.outer(v, v.conj())
+    z = np.zeros(w.shape[:-1] + (dim, dim), dtype=np.complex128)
+    for l, (el, v) in enumerate(zip(e, vecs)):
+        z += (w[..., l] * el)[..., None, None] * np.outer(v, v.conj())
     return z
 
 
 def check_hermitian(z) -> np.ndarray:
-    """Validate that z is square and Hermitian within HERMITIAN_RTOL."""
+    """Validate a square matrix, or a stack (..., N, N), as Hermitian
+    within HERMITIAN_RTOL times each matrix's own largest entry magnitude,
+    so every scale is checked alike."""
     a = np.asarray(z, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("zero-dimensional eigenproblem")
-    scale = np.abs(a).max(initial=0.0)
-    err = np.abs(a - a.conj().T).max(initial=0.0)
-    if err > HERMITIAN_RTOL * (1.0 + scale):
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {err:.3e}")
+    scale = np.abs(a).max(axis=(-2, -1))
+    err = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+    bad = err > HERMITIAN_RTOL * scale
+    if bad.any():
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {err[bad].max():.3e}")
     return a
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of a stack.
 
-    ``values`` are real and nondecreasing; ``vectors`` holds the matching
-    orthonormal eigenvectors as columns, each phase-fixed.
+    ``values`` (..., N) are real and nondecreasing; ``vectors`` (..., N, N)
+    holds the matching orthonormal eigenvectors as columns, phase-fixed.
     """
 
     values: np.ndarray
@@ -144,30 +152,37 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        """Rebuild the original matrix from the factors."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        """Rebuild the original matrix (or stack) from the factors."""
+        v = self.vectors
+        return (v * self.values[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def eig_hermitian(z) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix, eigenvalues nondecreasing."""
+    """Eigendecompose a Hermitian matrix (N, N), or a stack (..., N, N).
+
+    Each matrix takes the same steps: check_hermitian, the symmetrization
+    (a + a^H)/2, its own LAPACK call within one np.linalg.eigh, and
+    fix_phase on each column; so entry g of a stack is bitwise the
+    eigensystem of matrix g alone.
+    """
     a = check_hermitian(z)
-    sym = (a + a.conj().T) / 2.0
+    sym = (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
     values, vectors = np.linalg.eigh(sym)
-    for i in range(values.size):
-        vectors[:, i] = fix_phase(vectors[:, i])
+    vectors = fix_phase(vectors)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return EigenSystem(values=values, vectors=vectors)
 
 
-def eig_tolerance(values) -> float:
+def eig_tolerance(values):
     """Half-width EIG_RTOL * max|eigenvalue| of the bands in which
     eigenvalues count as tied, or as zero; scaling the matrix by c > 0
-    changes no decision made with it.  ``values`` must be nondecreasing."""
-    return EIG_RTOL * max(-float(values[0]), float(values[-1]))
+    changes no decision made with it.  ``values`` (N,) or (..., N) must be
+    nondecreasing along the last axis."""
+    return EIG_RTOL * np.maximum(-values[..., 0], values[..., -1])
 
 
 def _span_tiebreak(eigvecs: np.ndarray, span_basis) -> np.ndarray | None:
@@ -274,23 +289,23 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
                 _warn_trivial_span()
             else:
                 v[:, first:] = v[:, first:] @ coeffs[:, ::-1]
-        for j in range(v.shape[1]):
-            vectors[:, lo + j] = fix_phase(v[:, j])
+        vectors[:, lo:hi] = fix_phase(v)
     vectors.flags.writeable = False
     return EigenSystem(values=es.values, vectors=vectors)
 
 
 def _independent_prefix(a: np.ndarray) -> list[int]:
-    """Indices of columns that a greedy Gram-Schmidt pass rejects."""
+    """Indices of columns that a greedy Gram-Schmidt pass rejects, below a
+    floor relative to the largest column (so independent of units)."""
     dim = a.shape[0]
+    floor = max(RANK_RTOL, 1e-10) * np.linalg.norm(a, axis=0).max()
     basis: list[np.ndarray] = []
     offending = []
     for j in range(a.shape[1]):
         v = a[:, j].copy()
-        norm0 = np.linalg.norm(v)
         for b in basis:
             v -= b * (b.conj() @ v)
-        if np.linalg.norm(v) <= max(RANK_RTOL, 1e-10) * max(norm0, 1.0) or len(basis) == dim:
+        if np.linalg.norm(v) <= floor or len(basis) == dim:
             offending.append(j)
         else:
             basis.append(v / np.linalg.norm(v))

@@ -9,7 +9,8 @@ Sweeps are pure maps over a deterministic parameter enumeration: rows are
 lexicographic over the axes (per-transmitter simplex grids, then power
 group splits, then power levels for transmitters that need power
 control), with the last axis varying fastest.  Each transmitter enters
-the sweep only through its boundary table (``region.boundary_table``):
+the sweep only through its boundary table (``region.boundary_table``,
+stacked eigendecompositions that match ``boundary_strategy`` bit for bit):
 the unit-power gains at its simplex weights, times its power, times its
 group split, form one small array per (transmitter, receiver) that
 broadcasts over the whole grid.  The utilities are then evaluated one

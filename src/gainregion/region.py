@@ -4,6 +4,8 @@ Covers received power gains, the boundary beamformer parametrization over
 simplex weights, the full/free/zero power rule, simplex-grid boundary
 sweeps, dominance in a +-1 direction, and the constructive oracles
 (segment covariances, full-power completion, random feasible covariances).
+``boundary_table`` solves a weight grid in stacked eigendecompositions, each
+row bitwise what the scalar ``boundary_strategy`` gives at its weights.
 
 Channel lists here are plain sequences indexed 0-based; the network layer
 maps receivers 1..K onto positions 0..K-1.
@@ -57,6 +59,9 @@ __all__ = [
 
 # Tolerance on simplex weights summing to one.
 SIMPLEX_TOL = 1e-12
+# Weight rows per stacked eigendecomposition in boundary_table: enough to
+# spread numpy's per-call cost, few enough to bound the temporary stacks.
+_TABLE_BLOCK = 512
 
 
 class PowerClass(enum.Enum):
@@ -105,14 +110,17 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
 
 
 def check_simplex_weight(lam) -> np.ndarray:
-    """Validate weights in [0, 1] summing to 1 within SIMPLEX_TOL."""
+    """Validate weights (K,), or rows of weights (G, K), in [0, 1] summing
+    to 1 within SIMPLEX_TOL."""
     w = np.asarray(lam, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"expected a 1-D weight vector, got shape {w.shape}")
+    if w.ndim not in (1, 2) or w.shape[-1] == 0:
+        raise ValueError(f"expected weights of shape (K,) or (G, K), got shape {w.shape}")
     if np.any(w < -SIMPLEX_TOL) or np.any(w > 1.0 + SIMPLEX_TOL):
         raise ValueError(f"weights must lie in [0, 1], got {w}")
-    if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"weights must sum to 1, got sum {w.sum()!r}")
+    sums = w.sum(axis=-1)
+    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if off.any():
+        raise ValueError(f"weights must sum to 1, got sum {sums[off].flat[0]!r}")
     return w
 
 
@@ -226,7 +234,11 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     lam = check_simplex_weight(lam)
     e = check_direction(e)
     vecs = [as_cvec(h) for h in channels]
-    es = _boundary_eig(vecs, lam, e)
+    return _strategy(_boundary_eig(vecs, lam, e), lam, e, p_free)
+
+
+def _strategy(es: EigenSystem, lam, e, p_free: float | None = None) -> BoundaryStrategy:
+    """The boundary strategy read from the interior-limit eigensystem ``es``."""
     w = es.vectors[:, -1].copy()
     cls = _power_class(es.values)
     if cls is PowerClass.FULL:
@@ -241,9 +253,16 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
 
 
 def unit_gains(channels, w) -> np.ndarray:
-    """Unit-power gains |w^H h_l|^2 of a beamformer at every channel."""
-    w = as_cvec(w)
-    return np.array([abs(np.vdot(w, as_cvec(h))) ** 2 for h in channels])
+    """Unit-power gains |w^H h_l|^2 of a beamformer (N,) at every channel,
+    or of beamformer rows (G, N) as (G, K); one np.vdot per gain."""
+    rows = np.asarray(w, dtype=np.complex128)
+    if rows.ndim == 1:
+        return unit_gains(channels, as_cvec(rows)[None, :])[0]
+    if rows.ndim != 2 or not np.isfinite(rows).all():
+        raise ValueError(f"expected finite beamformer rows, got shape {rows.shape}")
+    vecs = [as_cvec(h) for h in channels]
+    gains = [abs(np.vdot(r, h)) ** 2 for r in rows for h in vecs]
+    return np.array(gains, dtype=float).reshape(len(rows), len(vecs))
 
 
 def strategy_gains(channels, strategy: BoundaryStrategy) -> np.ndarray:
@@ -258,10 +277,30 @@ def boundary_table(channels, grid, e) -> tuple[list[BoundaryStrategy], np.ndarra
     full power) and a (G, K) array whose row g holds the unit-power gains
     of strategy g at the K receivers; a strategy's realized gains are its
     power times that row.  Every sweep builds on this table.
+
+    Each block of _TABLE_BLOCK grid rows is one eig_hermitian call on the
+    (B, N, N) stack of Z; a row whose eigenvalues may be tied is handed to
+    boundary_strategy for the interior-limit split.  Every row's direction,
+    class, power and gains are bitwise those of boundary_strategy and
+    unit_gains at its weights alone.
     """
     vecs = [as_cvec(h) for h in channels]
-    strategies = [boundary_strategy(vecs, lam, e) for lam in grid]
-    return strategies, np.array([unit_gains(vecs, s.direction) for s in strategies])
+    e = check_direction(e)
+    grid = check_simplex_weight(grid)
+    strategies = []
+    for start in range(0, len(grid), _TABLE_BLOCK):
+        block = grid[start : start + _TABLE_BLOCK]
+        stack = eig_hermitian(weighted_combination(vecs, block, e))
+        values = stack.values
+        # _block_start's test per adjacent pair: a superset of tied_blocks' rows
+        tol = eig_tolerance(values)[:, None]
+        maybe_tied = (values[:, :-1] >= values[:, 1:] - tol).any(axis=1)
+        for lam, vals, vectors, tied in zip(block, values, stack.vectors, maybe_tied):
+            if tied:
+                strategies.append(boundary_strategy(vecs, lam, e))
+            else:
+                strategies.append(_strategy(EigenSystem(values=vals, vectors=vectors), lam, e))
+    return strategies, unit_gains(vecs, [s.direction for s in strategies])
 
 
 def needs_power_control(n_antennas: int, e) -> bool:

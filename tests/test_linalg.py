@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gainregion.linalg import (
+    HERMITIAN_RTOL,
     DegenerateEigenspaceWarning,
     dominant_eigpair,
     dominant_eigvec,
@@ -63,6 +64,16 @@ def test_weighted_combination_length_mismatch():
         weighted_combination([[1, 0]], [0.5, 0.5], [1, -1])
 
 
+def test_weighted_combination_stack_matches_rows(rng):
+    channels = random_channels(rng, 3, 4)
+    e = [1, -1, 1, -1]
+    weights = rng.dirichlet(np.ones(4), size=7)
+    stack = weighted_combination(channels, weights, e)
+    assert stack.shape == (7, 3, 3)
+    for w, z in zip(weights, stack):
+        assert np.array_equal(z, weighted_combination(channels, w, e))
+
+
 def test_eig_hermitian_diagonal():
     es = eig_hermitian(np.diag([2.0, -1.0]))
     assert np.allclose(es.values, [-1.0, 2.0])
@@ -111,6 +122,57 @@ def test_eig_hermitian_phase_convention(rng):
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_hermitian_rejects_non_hermitian_at_any_scale():
+    # The asymmetry bound is relative to the matrix's own entries, so a
+    # tiny non-Hermitian matrix is refused like its unit-scale version.
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for c in (1e-13, 1e-30, 1e20):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(c * bad)
+    # In a stack each matrix is held to its own scale.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(np.stack([1e6 * np.eye(2), 1e-3 * bad]))
+
+
+def test_eig_hermitian_accepts_rounding_asymmetry_at_any_scale(rng):
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    z = g + g.conj().T
+    z[0, 1] *= 1.0 + 0.1 * HERMITIAN_RTOL
+    for c in (1e-30, 1.0, 1e30):
+        eig_hermitian(c * z)
+
+
+def test_eig_hermitian_reads_both_triangles(rng):
+    # Only the Hermitian part (a + a^H)/2 is decomposed: a matrix within
+    # the tolerance of Hermitian and its conjugate transpose give the same
+    # eigensystem, bit for bit.
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    z = g + g.conj().T + 1e-14 * (g - g.conj().T)
+    a = eig_hermitian(z)
+    b = eig_hermitian(z.conj().T)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_eig_hermitian_stack_matches_single_matrices(rng):
+    # Random Hermitian matrices at scales 1e-8..1e8, with rank-deficient
+    # ones whose zero eigenvalue is multiple.
+    mats = []
+    for i in range(60):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z = g + g.conj().T if i % 3 else -np.outer(g[0], g[0].conj())
+        mats.append(10.0 ** rng.uniform(-8, 8) * z)
+    stack = np.stack(mats).reshape(3, 20, 4, 4)
+    es = eig_hermitian(stack)
+    assert es.values.shape == (3, 20, 4) and es.vectors.shape == (3, 20, 4, 4)
+    assert es.dim == 4
+    for i, z in enumerate(mats):
+        one = eig_hermitian(z)
+        assert np.array_equal(es.values[i // 20, i % 20], one.values)
+        assert np.array_equal(es.vectors[i // 20, i % 20], one.vectors)
+    assert np.allclose(es.reconstruct(), stack, rtol=0, atol=1e-9 * np.abs(stack).max())
 
 
 def test_eig_hermitian_rejects_empty():
@@ -234,6 +296,13 @@ def test_projector_complement_rank_deficient_names_columns():
     h = np.array([1.0, 2.0, 0.0])
     with pytest.raises(ValueError, match=r"dependent columns: \[1\]"):
         projector_complement([h, 2 * h, np.array([0.0, 0.0, 1.0])])
+
+
+def test_projector_complement_names_columns_at_any_scale():
+    e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    for c in (1e-11, 1.0, 1e11):
+        with pytest.raises(ValueError, match=r"dependent columns: \[2\]"):
+            projector_complement([c * e1, c * e2, c * (e1 + e2)])
 
 
 def test_projector_onto_vs_complement(rng):

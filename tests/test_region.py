@@ -310,6 +310,44 @@ def test_boundary_table_matches_scalar_strategies(rng):
         assert np.array_equal(row, [abs(np.vdot(w, h)) ** 2 for h in channels])
 
 
+def _assert_table_is_oracle(channels, grid, e):
+    strategies, gains = boundary_table(channels, grid, e)
+    assert len(strategies) == len(grid) and gains.shape == (len(grid), len(channels))
+    for lam, strat, row in zip(grid, strategies, gains):
+        ref = boundary_strategy(channels, lam, e)
+        assert np.array_equal(strat.lam, lam)
+        assert np.array_equal(strat.direction, ref.direction)
+        assert strat.power_class is ref.power_class
+        assert strat.power == ref.power
+        w = ref.direction
+        assert np.array_equal(row, [abs(np.vdot(w, h)) ** 2 for h in channels])
+
+
+@st.composite
+def table_instances(draw):
+    """Channels at scale 10^x, a feasible direction and a simplex grid of
+    step 1/m, whose vertices and face points give tied eigenvalues."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = 10.0 ** draw(st.floats(-8.0, 8.0))
+    e = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k).filter(lambda d: 1 in d))
+    m = draw(st.integers(1, 8 if k < 4 else 5))
+    return [c * h for h in random_channels(rng, n, k)], simplex_grid(k, 1.0 / m), np.array(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_instances())
+def test_boundary_table_is_the_scalar_oracle_bitwise(instance):
+    _assert_table_is_oracle(*instance)
+
+
+def test_boundary_table_across_blocks_is_the_scalar_oracle(rng):
+    # 1,326 weights: more than one block of the stacked eigendecomposition.
+    channels = [1e-3 * h for h in random_channels(rng, 3, 3)]
+    _assert_table_is_oracle(channels, simplex_grid(3, 0.02), np.array([1, -1, -1]))
+
+
 def test_sweep_boundary_rows_match_strategy_gains(rng):
     channels = random_channels(rng, 2, 3)
     e = np.array([1, -1, -1])
