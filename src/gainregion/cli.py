@@ -3,9 +3,14 @@
 Subcommands: ``gen`` (scenario generation), ``sweep-gain`` (single
 transmitter gain-region boundary), ``sweep-rates`` (joint utility-region
 sweep with optional nondominated filtering) and ``verify`` (self-check
-suites).  All outputs are deterministic given the flags and seed; decimal
-values are printed with 17 significant digits so files are byte-identical
-across runs.
+suites).  All outputs are deterministic given the flags and seed.
+
+CSV writer contract: every decimal value is printed with 17 significant
+digits, and its bytes are those of ``format(x, ".17g")``.  Rows are written
+in blocks of ``_WRITE_BLOCK``: each block's values are gathered as arrays,
+turned into Python floats with one ``tolist()``, formatted with one
+``%``-template per row and written as one string, so the writer holds at
+most one block of rows in memory, never the whole table.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -40,19 +45,26 @@ from .region import sweep_boundary
 from .verify import run_suite, suite_names
 
 TEMPLATES = ("ic", "mixed")
+_WRITE_BLOCK = 256  # rows per write; larger blocks only raise peak memory
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_point_cloud(path, meta: dict, columns, rows) -> None:
+def _row_template(fields) -> str:
+    """Line template with one ``%`` field per column, e.g. ``"%.17g,%s\\n"``."""
+    return ",".join(fields) + "\n"
+
+
+def _write_point_cloud(path, meta: dict, columns, template: str, blocks) -> None:
+    """Write the metadata, the header and each block of row tuples with ``template``."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for block in blocks:
+            fh.write("".join([template % row for row in block]))
 
 
 def _parse_direction(text: str, k: int) -> np.ndarray:
@@ -118,15 +130,16 @@ def cmd_sweep_gain(args) -> int:
         "rows": len(samples),
     }
 
-    def rows():
-        for sample in samples:
-            row = [_fmt(v) for v in sample.lam]
-            row.append(_fmt(sample.strategy.power))
-            row.append(sample.strategy.power_class.value)
-            row.extend(_fmt(v) for v in sample.gains)
-            yield row
+    template = _row_template(["%.17g"] * (k + 1) + ["%s"] + ["%.17g"] * k)
 
-    _write_point_cloud(args.out, meta, columns, rows())
+    def blocks():
+        for start in range(0, len(samples), _WRITE_BLOCK):
+            yield [
+                (*s.lam.tolist(), s.strategy.power, s.strategy.power_class.value, *s.gains.tolist())
+                for s in samples[start : start + _WRITE_BLOCK]
+            ]
+
+    _write_point_cloud(args.out, meta, columns, template, blocks())
     print(f"wrote {args.out}: {len(samples)} rows, K={k}")
     return 0
 
@@ -148,13 +161,17 @@ def cmd_sweep_rates(args) -> int:
         "grid_points": len(sweep),
     }
 
-    def rows():
-        for i in keep:
-            row = [_fmt(v) for v in sweep.parameter_row(i)]
-            row.extend(_fmt(v) for v in sweep.utilities[i])
-            yield row
+    template = _row_template(["%.17g"] * len(columns))
 
-    _write_point_cloud(args.out, meta, columns, rows())
+    def blocks():
+        # keep stays a range or a list: an index array over the whole grid
+        # would add to peak memory, so only each block's slice becomes one.
+        for start in range(0, len(keep), _WRITE_BLOCK):
+            idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
+            block = np.hstack([sweep.parameter_rows(idx), sweep.utilities[idx]])
+            yield map(tuple, block.tolist())
+
+    _write_point_cloud(args.out, meta, columns, template, blocks())
     print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")
     return 0
 
@@ -236,7 +253,11 @@ def main(argv=None) -> int:
     except ScenarioFormatError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its key; print the message itself.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

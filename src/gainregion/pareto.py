@@ -336,7 +336,8 @@ class UtilitySweep:
 
     Rows are in C order over the axis shape, i.e. lexicographic over the
     parameter axes.  Use items() to iterate (ParameterPoint, utilities)
-    pairs, or parameter_row()/parameter_point() for a single row.
+    pairs, parameter_rows() for a block of rows, or
+    parameter_row()/parameter_point() for a single row.
     """
 
     def __init__(self, scenario: Scenario, spec: UtilitySpec, axes: list[SweepAxis], utilities: np.ndarray):
@@ -360,9 +361,17 @@ class UtilitySweep:
     def axis_indices(self, i: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.unravel_index(i, self.shape))
 
+    def parameter_rows(self, indices) -> np.ndarray:
+        """Parameter columns of flat grid indices: (n, P) for n indices, (P,) for one.
+
+        One ``np.unravel_index`` over all the indices, then one fancy index
+        into each axis's values, concatenated in axis order.
+        """
+        idx = np.unravel_index(indices, self.shape)
+        return np.concatenate([ax.values[j] for ax, j in zip(self.axes, idx)], axis=-1)
+
     def parameter_row(self, i: int) -> np.ndarray:
-        idx = self.axis_indices(i)
-        return np.concatenate([ax.values[j] for ax, j in zip(self.axes, idx)])
+        return self.parameter_rows(i)
 
     def parameter_point(self, i: int) -> ParameterPoint:
         idx = self.axis_indices(i)

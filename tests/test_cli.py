@@ -1,11 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gainregion import cli
 from gainregion.cli import main
-from gainregion.network import load_scenario
-from gainregion.pareto import pareto_filter_bruteforce
+from gainregion.network import direction_vector, load_scenario
+from gainregion.pareto import (
+    UtilitySpec,
+    pareto_filter,
+    pareto_filter_bruteforce,
+    sweep_utility_region,
+)
+from gainregion.region import PowerClass, sweep_boundary
 
 
 def run(*argv):
@@ -202,3 +212,96 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert run("sweep-rates", "--scenario", str(bad), "--out",
                str(tmp_path / "x.csv")) == 2
     assert "noise_power" in capsys.readouterr().err
+
+
+def test_unknown_transmitter_prints_the_message(tmp_path, capsys):
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
+        "--seed", "1", "--out", str(scen))
+    capsys.readouterr()
+    assert run("sweep-gain", "--scenario", str(scen), "--transmitter", "9",
+               "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "error: unknown transmitter id '9'\n"
+
+
+def data_lines(path):
+    return [",".join(row) for row in read_cloud(path)[2]]
+
+
+def per_value_line(values) -> str:
+    """The reference format of one CSV row: each value through format(x, ".17g")."""
+    return ",".join(format(float(x), ".17g") for x in values)
+
+
+def _near_rounding_boundary(mantissa: int, exponent: int, ulps: int) -> float:
+    # An 18-digit decimal ending in 5 sits halfway between two 17-digit
+    # decimals; step a few ulps to either side of the nearest double.
+    x = float(f"{mantissa}5e{exponent}")
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+row_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                     0.1, 1.0 / 3.0, 1.0 - 2.0**-53]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.builds(
+        _near_rounding_boundary,
+        st.integers(10**15, 10**16 - 1),
+        st.integers(-340, 290),
+        st.integers(-2, 2),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(row_floats, min_size=1, max_size=12), st.booleans())
+def test_whole_row_line_is_the_per_value_format(values, negate):
+    values = [-x for x in values] if negate else values
+    line = cli._row_template(["%.17g"] * len(values)) % tuple(values)
+    assert line == per_value_line(values) + "\n"
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_sweep_rates_rows_across_block_edges(tmp_path, filtered):
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "3",
+        "--seed", "2", "--out", str(scen))
+    out = tmp_path / "rates.csv"
+    flags = ["--filter"] if filtered else []
+    assert run("sweep-rates", "--scenario", str(scen), "--step", "0.25", *flags,
+               "--out", str(out)) == 0
+    s = load_scenario(scen)
+    sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), 0.25)
+    keep = pareto_filter(sweep.utilities) if filtered else range(len(sweep))
+    edge = cli._WRITE_BLOCK
+    assert len(keep) > edge
+    if filtered:
+        # The kept rows on either side of the first block edge are not neighbours.
+        assert keep[edge] - keep[edge - 1] > 1
+    expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]]) for i in keep]
+    assert data_lines(out) == expected
+
+
+def test_sweep_gain_free_fan_out_across_a_block_edge(tmp_path):
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
+        "--seed", "1", "--out", str(scen))
+    out = tmp_path / "gain.csv"
+    assert run("sweep-gain", "--scenario", str(scen), "--transmitter", "1",
+               "--step", "0.05", "--p-samples", "200", "--out", str(out)) == 0
+    s = load_scenario(scen)
+    samples = sweep_boundary(s.channels_for("1"), direction_vector(s, "1"), 0.05,
+                             p_free_samples=200)
+    edge = cli._WRITE_BLOCK
+    before, after = samples[edge - 1], samples[edge]
+    assert before.strategy.power_class is after.strategy.power_class is PowerClass.FREE
+    assert np.array_equal(before.lam, after.lam)
+    expected = [
+        ",".join([per_value_line([*x.lam, x.strategy.power]), x.strategy.power_class.value,
+                  per_value_line(x.gains)])
+        for x in samples
+    ]
+    assert data_lines(out) == expected
