@@ -37,7 +37,6 @@ from .pareto import (
     utilities_at,
 )
 from .region import (
-    BoundarySample,
     BoundaryStrategy,
     PowerClass,
     boundary_strategy,
@@ -52,8 +51,8 @@ __all__ = [
     "Scenario", "ScenarioFormatError", "direction_vector", "generate_channels",
     "ic_skeleton", "load_scenario", "mixed_skeleton", "save_scenario", "snr_to_noise",
     # region
-    "BoundarySample", "BoundaryStrategy", "PowerClass", "boundary_strategy",
-    "boundary_table", "simplex_grid", "strategy_gains", "sweep_boundary",
+    "BoundaryStrategy", "PowerClass", "boundary_strategy", "boundary_table",
+    "simplex_grid", "strategy_gains", "sweep_boundary",
     # pareto
     "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "pareto_strategies",
     "strategy_gain_matrix", "sweep_utility_region", "two_user_combination", "utilities_at",

@@ -6,11 +6,14 @@ sweep with optional nondominated filtering) and ``verify`` (self-check
 suites).  All outputs are deterministic given the flags and seed.
 
 CSV writer contract: every decimal value is printed with 17 significant
-digits, and its bytes are those of ``format(x, ".17g")``.  Rows are written
-in blocks of ``_WRITE_BLOCK``: each block's values are gathered as arrays,
-turned into Python floats with one ``tolist()``, formatted with one
-``%``-template per row and written as one string, so the writer holds at
-most one block of rows in memory, never the whole table.
+digits, and its bytes are those of ``format(x, ".17g")``.  Both sweeps hand
+the writer columns (``sweep_boundary``'s weights, powers, classes and
+gains; a ``UtilitySweep``'s parameter axes and utilities), never per-row
+objects.  Rows are written in blocks of ``_WRITE_BLOCK``: each block's
+column slices are stacked, turned into Python floats with one
+``tolist()``, formatted with one ``%``-template per row and written as one
+string, so the writer holds at most one block of rows in memory, never the
+whole table.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -115,7 +118,7 @@ def cmd_sweep_gain(args) -> int:
         e = _parse_direction(args.direction, scenario.n_receivers)
     else:
         e = direction_vector(scenario, tid)
-    samples = sweep_boundary(channels, e, args.step, p_free_samples=args.p_samples)
+    lam, power, classes, gains = sweep_boundary(channels, e, args.step, args.p_samples)
     k = scenario.n_receivers
     columns = [f"lambda_{r}" for r in scenario.receivers]
     columns += ["p", "power_class"]
@@ -127,20 +130,19 @@ def cmd_sweep_gain(args) -> int:
         "direction": ",".join(str(int(v)) for v in e),
         "step": _fmt(args.step),
         "p_free_samples": args.p_samples,
-        "rows": len(samples),
+        "rows": len(power),
     }
 
     template = _row_template(["%.17g"] * (k + 1) + ["%s"] + ["%.17g"] * k)
 
     def blocks():
-        for start in range(0, len(samples), _WRITE_BLOCK):
-            yield [
-                (*s.lam.tolist(), s.strategy.power, s.strategy.power_class.value, *s.gains.tolist())
-                for s in samples[start : start + _WRITE_BLOCK]
-            ]
+        for start in range(0, len(power), _WRITE_BLOCK):
+            rows = slice(start, start + _WRITE_BLOCK)
+            numbers = np.column_stack([lam[rows], power[rows], gains[rows]]).tolist()
+            yield [(*x[: k + 1], c.value, *x[k + 1 :]) for x, c in zip(numbers, classes[rows])]
 
     _write_point_cloud(args.out, meta, columns, template, blocks())
-    print(f"wrote {args.out}: {len(samples)} rows, K={k}")
+    print(f"wrote {args.out}: {len(power)} rows, K={k}")
     return 0
 
 
@@ -177,9 +179,8 @@ def cmd_sweep_rates(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario) if args.scenario else None
     try:
-        checks = run_suite(args.suite, seed=args.seed, trials=args.trials, scenario=scenario)
+        checks = run_suite(args.suite, seed=args.seed, trials=args.trials)
     except KeyError:
         print(
             f"unknown suite {args.suite!r}; valid suites: {', '.join(suite_names())}",
@@ -239,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, help=f"one of: {', '.join(suite_names())}")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--scenario", help="optional scenario supplying the channels")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

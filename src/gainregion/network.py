@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import as_cvec, unit
 
 __all__ = [
     "SCENARIO_FORMAT",
@@ -29,10 +28,6 @@ __all__ = [
     "direction_vector",
     "generate_channels",
     "snr_to_noise",
-    "effective_miso_channel",
-    "svd_receive_filter",
-    "mrc_receive_filter",
-    "reduce_to_miso",
     "scenario_to_dict",
     "scenario_from_dict",
     "save_scenario",
@@ -240,66 +235,6 @@ def snr_to_noise(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
     return 10.0 ** (-snr_db / 10.0)
-
-
-def effective_miso_channel(h_matrix, receive_filter) -> np.ndarray:
-    """Reduce one MIMO link to MISO under a fixed unit receive filter.
-
-    For an R x N channel matrix H and unit filter z, returns h = H^H z so
-    that |z^H H w|^2 = |h^H w|^2 for every transmit beamformer w.
-    """
-    h = np.asarray(h_matrix, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError(f"expected an R x N channel matrix, got shape {h.shape}")
-    z = as_cvec(receive_filter)
-    if z.size != h.shape[0]:
-        raise ValueError(
-            f"receive filter has dimension {z.size}, channel matrix has {h.shape[0]} rows"
-        )
-    if abs(np.linalg.norm(z) - 1.0) > 1e-8:
-        raise ValueError("receive filter must have unit norm")
-    return h.conj().T @ z
-
-
-def svd_receive_filter(h_matrix) -> np.ndarray:
-    """Left singular vector of the largest singular value of H."""
-    h = np.asarray(h_matrix, dtype=np.complex128)
-    u, _, _ = np.linalg.svd(h)
-    from .linalg import fix_phase
-
-    return fix_phase(u[:, 0])
-
-
-def mrc_receive_filter(h_matrix, w) -> np.ndarray:
-    """Maximum ratio combining filter H w (normalized) for beamformer w."""
-    h = np.asarray(h_matrix, dtype=np.complex128)
-    return unit(h @ as_cvec(w))
-
-
-def reduce_to_miso(skeleton: Scenario, mimo_channels: dict, receive_filters: dict) -> Scenario:
-    """Build a MISO scenario from MIMO channel matrices and fixed filters.
-
-    ``mimo_channels`` maps (channel_key, receiver) to an R x N matrix and
-    ``receive_filters`` maps receiver to a unit filter of dimension R.
-    The filters must not depend on unintended transmitters for the gain
-    region framework to apply; that choice is the caller's.
-    """
-    channels = {}
-    for t in skeleton.transmitters:
-        for r in skeleton.receivers:
-            key = (t.channel_key, r)
-            if key in channels:
-                continue
-            try:
-                h = mimo_channels[key]
-            except KeyError:
-                raise ScenarioFormatError(f"mimo_channels[{key[0]}/{r}]: missing entry") from None
-            try:
-                z = receive_filters[r]
-            except KeyError:
-                raise ScenarioFormatError(f"receive_filters[{r}]: missing entry") from None
-            channels[key] = effective_miso_channel(h, z)
-    return replace(skeleton, channels=channels)
 
 
 def _complex_to_pairs(vec: np.ndarray) -> list[list[float]]:

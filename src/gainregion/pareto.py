@@ -9,11 +9,13 @@ Sweeps are pure maps over a deterministic parameter enumeration: rows are
 lexicographic over the axes (per-transmitter simplex grids, then power
 group splits, then power levels for transmitters that need power
 control), with the last axis varying fastest.  Each transmitter enters
-the sweep only through its boundary table (``region.boundary_table``,
-stacked eigendecompositions that match ``boundary_strategy`` bit for bit):
-the unit-power gains at its simplex weights, times its power, times its
-group split, form one small array per (transmitter, receiver) that
-broadcasts over the whole grid.  The utilities are then evaluated one
+the sweep only through the columns of its boundary table
+(``region.boundary_table``, stacked eigendecompositions that match
+``boundary_strategy`` bit for bit): the unit-power gains at its simplex
+weights, times the ``class_power`` of each row's class (or the power axis
+on free rows), times its group split, form one small array per
+(transmitter, receiver) that broadcasts over the whole grid; no
+per-weight strategy object is built.  The utilities are then evaluated one
 slab of the first axis at a time; ``utilities_at`` is the scalar oracle
 for any row.
 """
@@ -40,6 +42,7 @@ from .region import (
     boundary_eigensystem,
     boundary_strategy,
     boundary_table,
+    class_power,
     needs_power_control,
     simplex_grid,
     simplex_grid_size,
@@ -308,15 +311,15 @@ def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
     fields = {}
     for t in s.transmitters:
         lam_axis = axis_by[("lambda", t.tid)]
-        strategies, gains = boundary_table(
+        _, classes, gains = boundary_table(
             s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
         )
-        power = np.array([b.power for b in strategies])
+        power = class_power(classes)
         power_axis = axis_by.get(("power", t.tid))
         if power_axis is None:
             power = along(power, lam_axis)
         else:
-            free = np.array([b.power_class is PowerClass.FREE for b in strategies])
+            free = classes == PowerClass.FREE
             levels = axes[power_axis].values[:, 0]
             table = np.where(free[:, None], levels[None, :], power[:, None])
             power = along(table, lam_axis, power_axis)

@@ -4,8 +4,16 @@ Covers received power gains, the boundary beamformer parametrization over
 simplex weights, the full/free/zero power rule, simplex-grid boundary
 sweeps, dominance in a +-1 direction, and the constructive oracles
 (segment covariances, full-power completion, random feasible covariances).
-``boundary_table`` solves a weight grid in stacked eigendecompositions, each
-row bitwise what the scalar ``boundary_strategy`` gives at its weights.
+
+``boundary_strategy`` is the scalar oracle: one weight vector in, one
+``BoundaryStrategy`` out.  The grid paths return columns instead, one array
+per field with a row per weight: ``boundary_table`` gives directions (G, N),
+power classes (G,) and unit-power gains (G, K) from stacked
+eigendecompositions, and ``sweep_boundary`` gives weights, powers, classes
+and gains with one row per sample.  Every row is bitwise what
+``boundary_strategy`` (with ``p_free`` for a fanned-out free row) and
+``strategy_gains`` give at its weights alone.  ``class_power`` is the one
+full/free/zero -> power rule for both.
 
 Channel lists here are plain sequences indexed 0-based; the network layer
 maps receivers 1..K onto positions 0..K-1.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +43,13 @@ __all__ = [
     "SIMPLEX_TOL",
     "PowerClass",
     "BoundaryStrategy",
-    "BoundarySample",
     "simplex_grid",
     "simplex_grid_size",
     "check_simplex_weight",
     "check_direction",
     "power_gain",
     "power_rule",
+    "class_power",
     "boundary_eigensystem",
     "boundary_strategy",
     "unit_gains",
@@ -70,6 +78,9 @@ class PowerClass(enum.Enum):
     FULL = "full"
     FREE = "free"
     ZERO = "zero"
+
+
+_CLASS_BY_SIGN = np.array([PowerClass.ZERO, PowerClass.FREE, PowerClass.FULL], dtype=object)
 
 
 def simplex_grid_size(k: int, step: float) -> int:
@@ -155,14 +166,29 @@ def power_rule(z) -> PowerClass:
     return _power_class(eig_hermitian(z).values)
 
 
-def _power_class(values) -> PowerClass:
-    mu_max = float(values[-1])
+def _power_class(values):
+    """Class of eigenvalues (N,), or an object array of the classes of a
+    stack (..., N); each row is judged against its own eig_tolerance."""
+    mu_max = values[..., -1]
     tau = eig_tolerance(values)
-    if mu_max > tau:
-        return PowerClass.FULL
-    if mu_max < -tau:
-        return PowerClass.ZERO
-    return PowerClass.FREE
+    # 0 below -tau, 2 above tau, 1 in the band (and for NaN)
+    return _CLASS_BY_SIGN[(mu_max > tau).astype(np.intp) - (mu_max < -tau) + 1]
+
+
+def class_power(classes, p_free: float = 1.0):
+    """Boundary power of a power class: 1 for FULL, 0 for ZERO and ``p_free``
+    in [0, 1] for FREE.  An array of classes (G,) gives powers (G,).
+
+    The default 1.0 for FREE is the only choice that stays on the boundary
+    in every antenna regime and realizes the zero-forcing anchors at full
+    power.
+    """
+    if not 0.0 <= p_free <= 1.0:
+        raise ValueError(f"p_free must be in [0, 1], got {p_free}")
+    power = np.where(
+        classes == PowerClass.FULL, 1.0, np.where(classes == PowerClass.ZERO, 0.0, p_free)
+    )
+    return float(power) if power.ndim == 0 else power
 
 
 def boundary_eigensystem(channels, lam, e) -> EigenSystem:
@@ -225,31 +251,19 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     faces), it is the limit of the directions at lam + t (u - lam) as
     t -> 0+, u the barycentre, so a face row of a sweep continues the
     interior rows next to it; only if that limit is still tied does the
-    span rule pick it.  The power follows the full/free/zero rule on the
-    same top eigenvalue.  For the Free class the caller may pick any
-    ``p_free`` in [0, 1]; the default 1.0 is the only choice that stays on
-    the boundary in every antenna regime and realizes the zero-forcing
-    anchors at full power.
+    span rule pick it.  The power follows class_power for the full/free/zero
+    class of the same top eigenvalue; for the Free class the caller may
+    pick any ``p_free`` in [0, 1] (default 1.0).
     """
     lam = check_simplex_weight(lam)
     e = check_direction(e)
     vecs = [as_cvec(h) for h in channels]
-    return _strategy(_boundary_eig(vecs, lam, e), lam, e, p_free)
-
-
-def _strategy(es: EigenSystem, lam, e, p_free: float | None = None) -> BoundaryStrategy:
-    """The boundary strategy read from the interior-limit eigensystem ``es``."""
-    w = es.vectors[:, -1].copy()
+    es = _boundary_eig(vecs, lam, e)
     cls = _power_class(es.values)
-    if cls is PowerClass.FULL:
-        power = 1.0
-    elif cls is PowerClass.ZERO:
-        power = 0.0
-    else:
-        power = 1.0 if p_free is None else float(p_free)
-        if not 0.0 <= power <= 1.0:
-            raise ValueError(f"p_free must be in [0, 1], got {p_free}")
-    return BoundaryStrategy(direction=w, power=power, lam=lam, e=e, power_class=cls)
+    power = class_power(cls, 1.0 if p_free is None else float(p_free))
+    return BoundaryStrategy(
+        direction=es.vectors[:, -1].copy(), power=power, lam=lam, e=e, power_class=cls
+    )
 
 
 def unit_gains(channels, w) -> np.ndarray:
@@ -270,37 +284,39 @@ def strategy_gains(channels, strategy: BoundaryStrategy) -> np.ndarray:
     return strategy.power * unit_gains(channels, strategy.direction)
 
 
-def boundary_table(channels, grid, e) -> tuple[list[BoundaryStrategy], np.ndarray]:
-    """Boundary strategies at every weight row of ``grid`` and their gains.
+def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary directions, power classes and unit-power gains at every
+    weight row of ``grid``, as columns.
 
-    Returns the strategies of boundary_strategy (free class at its default
-    full power) and a (G, K) array whose row g holds the unit-power gains
-    of strategy g at the K receivers; a strategy's realized gains are its
-    power times that row.  Every sweep builds on this table.
+    Returns ``(directions, classes, gains)``: the unit beamformers (G, N),
+    an object array (G,) of PowerClass and the gains |w^H h_l|^2 (G, K) of
+    each row's beamformer at the K receivers.  A row's realized gains are
+    its class_power times its gains row.  Every sweep builds on this table.
 
     Each block of _TABLE_BLOCK grid rows is one eig_hermitian call on the
     (B, N, N) stack of Z; a row whose eigenvalues may be tied is handed to
     boundary_strategy for the interior-limit split.  Every row's direction,
-    class, power and gains are bitwise those of boundary_strategy and
-    unit_gains at its weights alone.
+    class and gains are bitwise those of boundary_strategy and unit_gains
+    at its weights alone.
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
     grid = check_simplex_weight(grid)
-    strategies = []
+    directions = np.empty((len(grid), vecs[0].size), dtype=np.complex128)
+    classes = np.empty(len(grid), dtype=object)
     for start in range(0, len(grid), _TABLE_BLOCK):
-        block = grid[start : start + _TABLE_BLOCK]
-        stack = eig_hermitian(weighted_combination(vecs, block, e))
+        rows = slice(start, start + _TABLE_BLOCK)
+        stack = eig_hermitian(weighted_combination(vecs, grid[rows], e))
         values = stack.values
+        directions[rows] = stack.vectors[..., -1]
+        classes[rows] = _power_class(values)
         # _block_start's test per adjacent pair: a superset of tied_blocks' rows
         tol = eig_tolerance(values)[:, None]
         maybe_tied = (values[:, :-1] >= values[:, 1:] - tol).any(axis=1)
-        for lam, vals, vectors, tied in zip(block, values, stack.vectors, maybe_tied):
-            if tied:
-                strategies.append(boundary_strategy(vecs, lam, e))
-            else:
-                strategies.append(_strategy(EigenSystem(values=vals, vectors=vectors), lam, e))
-    return strategies, unit_gains(vecs, [s.direction for s in strategies])
+        # The split keeps the eigenvalues, so only the direction can change.
+        for g in start + np.flatnonzero(maybe_tied):
+            directions[g] = boundary_strategy(vecs, grid[g], e).direction
+    return directions, classes, unit_gains(vecs, directions)
 
 
 def needs_power_control(n_antennas: int, e) -> bool:
@@ -314,23 +330,19 @@ def needs_power_control(n_antennas: int, e) -> bool:
     return n_antennas <= int(np.sum(e == -1))
 
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """One row of a boundary sweep: weights, strategy and its gains."""
+def sweep_boundary(
+    channels, e, step: float, p_free_samples: int = 11
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary samples over the full simplex grid, as columns.
 
-    lam: np.ndarray
-    strategy: BoundaryStrategy
-    gains: np.ndarray
-
-
-def sweep_boundary(channels, e, step: float, p_free_samples: int = 11) -> list[BoundarySample]:
-    """Enumerate boundary strategies over the full simplex grid.
-
-    Rows are ordered lexicographically in lam, then by ascending power for
+    Returns ``(lam, power, classes, gains)``: weights (R, K), powers (R,),
+    an object array (R,) of PowerClass and realized gains (R, K).  Rows are
+    ordered lexicographically in lam, then by ascending power for
     free-class points.  Free-class fan-out over ``p_free_samples`` levels
     happens only when power control is required for this direction
     (otherwise only full power lies on the boundary and one row is
-    emitted).
+    emitted).  Row r is bitwise boundary_strategy at ``lam[r]`` (with
+    ``p_free=power[r]`` on a fanned-out free row) and its strategy_gains.
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
@@ -338,17 +350,16 @@ def sweep_boundary(channels, e, step: float, p_free_samples: int = 11) -> list[B
         raise ValueError(f"{len(vecs)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
-    strategies, gains = boundary_table(vecs, simplex_grid(len(vecs), step), e)
-    fan_out = needs_power_control(vecs[0].size, e)
-    p_levels = np.linspace(0.0, 1.0, p_free_samples)
-    out = []
-    for base, g in zip(strategies, gains):
-        if base.power_class is PowerClass.FREE and fan_out:
-            rows = [replace(base, power=float(p)) for p in p_levels]
-        else:
-            rows = [base]
-        out.extend(BoundarySample(lam=s.lam, strategy=s, gains=s.power * g) for s in rows)
-    return out
+    grid = simplex_grid(len(vecs), step)
+    _, classes, unit = boundary_table(vecs, grid, e)
+    power = class_power(classes)
+    rows = np.arange(len(grid))
+    if needs_power_control(vecs[0].size, e):
+        free = classes == PowerClass.FREE
+        rows = np.repeat(rows, np.where(free, p_free_samples, 1))
+        power = power[rows]
+        power[free[rows]] = np.tile(np.linspace(0.0, 1.0, p_free_samples), np.count_nonzero(free))
+    return grid[rows], power, classes[rows], power[:, None] * unit[rows]
 
 
 def dominates(x, y, e) -> bool:

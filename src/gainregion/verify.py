@@ -13,7 +13,6 @@ import numpy as np
 
 from . import nullshape, pareto, region
 from .linalg import eig_hermitian, eig_tolerance, weighted_combination
-from .network import Scenario
 
 __all__ = ["Check", "SUITES", "run_suite", "suite_names"]
 
@@ -36,20 +35,10 @@ def _random_channels(rng: np.random.Generator, n: int, k: int) -> list[np.ndarra
     ]
 
 
-def _scenario_channels(scenario: Scenario, n: int, k: int) -> list[np.ndarray] | None:
-    """First transmitter channel set matching the requested dimensions."""
-    if scenario is None or scenario.n_receivers != k:
-        return None
-    for t in scenario.transmitters:
-        if t.n_antennas == n and scenario.has_channels():
-            return scenario.channels_for(t.tid)
-    return None
-
-
-def suite_convexity(seed: int = 0, trials: int = 1000, scenario: Scenario | None = None) -> list[Check]:
+def suite_convexity(seed: int = 0, trials: int = 1000) -> list[Check]:
     """Segment covariances reproduce convex combinations of gains exactly."""
     rng = np.random.default_rng(seed)
-    channels = _scenario_channels(scenario, 3, 3) or _random_channels(rng, 3, 3)
+    channels = _random_channels(rng, 3, 3)
     worst = 0.0
     worst_trace = 0.0
     for i in range(trials):
@@ -66,11 +55,11 @@ def suite_convexity(seed: int = 0, trials: int = 1000, scenario: Scenario | None
     ]
 
 
-def suite_hyperplane(seed: int = 0, trials: int = 100_000, scenario: Scenario | None = None) -> list[Check]:
+def suite_hyperplane(seed: int = 0, trials: int = 100_000) -> list[Check]:
     """No feasible covariance beats the top-eigenvalue bound on any grid
     weighting; full-class boundary strategies attain it."""
     rng = np.random.default_rng(seed)
-    channels = _scenario_channels(scenario, 3, 3) or _random_channels(rng, 3, 3)
+    channels = _random_channels(rng, 3, 3)
     e = np.array([1, -1, -1])
     grid = region.simplex_grid(3, 0.02)
     weights = grid * e  # (G, 3)
@@ -95,11 +84,12 @@ def suite_hyperplane(seed: int = 0, trials: int = 100_000, scenario: Scenario | 
         done = stop
     assert done == trials
     worst_attain = 0.0
-    strategies, table = region.boundary_table(channels, grid, e)
-    for lam, bound, strat, g in zip(grid, bounds, strategies, table):
-        if strat.power_class is region.PowerClass.FULL:
-            value = region.weighted_objective(strat.power * g, lam, e)
-            worst_attain = max(worst_attain, abs(value - bound))
+    _, classes, table = region.boundary_table(channels, grid, e)
+    attained = region.class_power(classes)[:, None] * table
+    full = classes == region.PowerClass.FULL
+    for lam, bound, g in zip(grid[full], bounds[full], attained[full]):
+        value = region.weighted_objective(g, lam, e)
+        worst_attain = max(worst_attain, abs(value - bound))
     box = np.array([float(np.real(np.vdot(h, h))) for h in channels])
     box_excess = float((gains - box[None, :]).max())
     return [
@@ -109,14 +99,14 @@ def suite_hyperplane(seed: int = 0, trials: int = 100_000, scenario: Scenario | 
     ]
 
 
-def suite_full_power(seed: int = 0, trials: int = 500, scenario: Scenario | None = None) -> list[Check]:
+def suite_full_power(seed: int = 0, trials: int = 500) -> list[Check]:
     """Full-power completion: trace 1, off-target gains fixed, target gain up."""
     rng = np.random.default_rng(seed)
     worst_trace = 0.0
     worst_off = 0.0
     min_gain_up = np.inf
     for size in (2, 3):
-        channels = _scenario_channels(scenario, size, size) or _random_channels(rng, size, size)
+        channels = _random_channels(rng, size, size)
         for i in range(trials):
             q = region.random_feasible_covariance(seed * 11_000_003 + size * trials + i, size)
             target = i % size
@@ -141,10 +131,10 @@ def suite_full_power(seed: int = 0, trials: int = 500, scenario: Scenario | None
     ]
 
 
-def suite_power_rule(seed: int = 0, trials: int = 500, scenario: Scenario | None = None) -> list[Check]:
+def suite_power_rule(seed: int = 0, trials: int = 500) -> list[Check]:
     """Power rule matches the top eigenvalue sign and maximizes the objective."""
     rng = np.random.default_rng(seed)
-    channels = _scenario_channels(scenario, 2, 3) or _random_channels(rng, 2, 3)
+    channels = _random_channels(rng, 2, 3)
     e = np.array([1, -1, -1])
     lams = list(rng.dirichlet(np.ones(3), size=trials))
     # Deterministic free/zero probes: weight only the unintended receivers.
@@ -191,7 +181,7 @@ def suite_power_rule(seed: int = 0, trials: int = 500, scenario: Scenario | None
     ]
 
 
-def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None = None) -> list[Check]:
+def suite_two_user(seed: int = 0, trials: int = 100) -> list[Check]:
     """Projector identity residuals and MRT/ZF-combination alignment."""
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
@@ -218,10 +208,10 @@ def suite_two_user(seed: int = 0, trials: int = 100, scenario: Scenario | None =
     ]
 
 
-def suite_null_shaping(seed: int = 0, trials: int = 200, scenario: Scenario | None = None) -> list[Check]:
+def suite_null_shaping(seed: int = 0, trials: int = 200) -> list[Check]:
     """Projected MRT reproduces the boundary-strategy gains exactly."""
     rng = np.random.default_rng(seed)
-    channels = _scenario_channels(scenario, 4, 3) or _random_channels(rng, 4, 3)
+    channels = _random_channels(rng, 4, 3)
     e = np.array([1, -1, -1])
     worst_gain = 0.0
     worst_structure = 0.0
@@ -258,7 +248,7 @@ def suite_null_shaping(seed: int = 0, trials: int = 200, scenario: Scenario | No
     ]
 
 
-def suite_pareto_oracle(seed: int = 0, trials: int = 1000, scenario: Scenario | None = None) -> list[Check]:
+def suite_pareto_oracle(seed: int = 0, trials: int = 1000) -> list[Check]:
     """Fast nondominated filter agrees with the pairwise reference scan on a
     3-D cloud (staircase path) and a 4-D cloud (scan path)."""
     rng = np.random.default_rng(seed)
@@ -307,16 +297,16 @@ def suite_names() -> list[str]:
     return sorted(SUITES) + ["all"]
 
 
-def run_suite(name: str, seed: int = 0, trials: int | None = None, scenario: Scenario | None = None) -> list[Check]:
+def run_suite(name: str, seed: int = 0, trials: int | None = None) -> list[Check]:
     """Run one suite (or 'all'); unknown names raise KeyError."""
     if name == "all":
         out = []
         for key in sorted(SUITES):
-            out.extend(run_suite(key, seed=seed, trials=trials, scenario=scenario))
+            out.extend(run_suite(key, seed=seed, trials=trials))
         return out
     if name not in SUITES:
         raise KeyError(name)
-    kwargs = {"seed": seed, "scenario": scenario}
+    kwargs = {"seed": seed}
     if trials is not None:
         kwargs["trials"] = trials
     return SUITES[name](**kwargs)

@@ -15,7 +15,9 @@ from gainregion.pareto import (
     pareto_filter_bruteforce,
     sweep_utility_region,
 )
-from gainregion.region import PowerClass, sweep_boundary
+from gainregion.region import PowerClass, strategy_gains, sweep_boundary
+
+from conftest import oracle_sweep
 
 
 def run(*argv):
@@ -293,15 +295,14 @@ def test_sweep_gain_free_fan_out_across_a_block_edge(tmp_path):
     assert run("sweep-gain", "--scenario", str(scen), "--transmitter", "1",
                "--step", "0.05", "--p-samples", "200", "--out", str(out)) == 0
     s = load_scenario(scen)
-    samples = sweep_boundary(s.channels_for("1"), direction_vector(s, "1"), 0.05,
-                             p_free_samples=200)
+    channels, e = s.channels_for("1"), direction_vector(s, "1")
+    lam, _, classes, _ = sweep_boundary(channels, e, 0.05, p_free_samples=200)
     edge = cli._WRITE_BLOCK
-    before, after = samples[edge - 1], samples[edge]
-    assert before.strategy.power_class is after.strategy.power_class is PowerClass.FREE
-    assert np.array_equal(before.lam, after.lam)
+    assert classes[edge - 1] is classes[edge] is PowerClass.FREE
+    assert np.array_equal(lam[edge - 1], lam[edge])
     expected = [
-        ",".join([per_value_line([*x.lam, x.strategy.power]), x.strategy.power_class.value,
-                  per_value_line(x.gains)])
-        for x in samples
+        ",".join([per_value_line([*ref.lam, ref.power]), ref.power_class.value,
+                  per_value_line(strategy_gains(channels, ref))])
+        for ref in oracle_sweep(channels, e, 0.05, p_free_samples=200)
     ]
     assert data_lines(out) == expected

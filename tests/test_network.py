@@ -6,20 +6,14 @@ from gainregion.network import (
     ScenarioFormatError,
     TransmitterSpec,
     direction_vector,
-    effective_miso_channel,
     generate_channels,
     ic_skeleton,
     load_scenario,
     mixed_skeleton,
-    mrc_receive_filter,
-    reduce_to_miso,
     save_scenario,
     scenario_to_dict,
     snr_to_noise,
-    svd_receive_filter,
 )
-
-from conftest import random_channels
 
 
 def test_direction_vector_three_user_ic():
@@ -97,63 +91,6 @@ def test_virtual_transmitters_share_channels():
 )
 def test_snr_to_noise(snr_db, expected):
     assert snr_to_noise(snr_db) == pytest.approx(expected, rel=1e-15)
-
-
-def test_effective_miso_identity_filter():
-    h = effective_miso_channel(np.eye(3), [1.0, 0.0, 0.0])
-    assert np.allclose(h, [1, 0, 0])
-
-
-def test_effective_miso_svd_filter_norm(rng):
-    g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    z = svd_receive_filter(g)
-    h_eff = effective_miso_channel(g, z)
-    top = np.linalg.svd(g, compute_uv=False)[0]
-    assert np.linalg.norm(h_eff) == pytest.approx(top, rel=1e-12)
-
-
-def test_effective_miso_gain_identity(rng):
-    for _ in range(20):
-        g = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        z = random_channels(rng, 3, 1)[0]
-        z = z / np.linalg.norm(z)
-        w = random_channels(rng, 5, 1)[0]
-        h_eff = effective_miso_channel(g, z)
-        lhs = abs(np.vdot(z, g @ w)) ** 2
-        rhs = abs(np.vdot(h_eff, w)) ** 2
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
-
-
-def test_effective_miso_rejects_unnormalized():
-    with pytest.raises(ValueError, match="unit norm"):
-        effective_miso_channel(np.eye(2), [2.0, 0.0])
-
-
-def test_mrc_filter_matches_channel_direction(rng):
-    g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    w = random_channels(rng, 3, 1)[0]
-    z = mrc_receive_filter(g, w)
-    assert np.linalg.norm(z) == pytest.approx(1.0)
-    assert abs(np.vdot(z, g @ w)) == pytest.approx(np.linalg.norm(g @ w), rel=1e-12)
-
-
-def test_reduce_to_miso_round_trip(rng):
-    skeleton = ic_skeleton(2, 3)
-    mats = {}
-    filters = {}
-    for r in (1, 2):
-        zr = random_channels(rng, 2, 1)[0]
-        filters[r] = zr / np.linalg.norm(zr)
-    for key in ("1", "2"):
-        for r in (1, 2):
-            mats[(key, r)] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    s = reduce_to_miso(skeleton, mats, filters)
-    w = random_channels(rng, 3, 1)[0]
-    for key in ("1", "2"):
-        for r in (1, 2):
-            direct = abs(np.vdot(filters[r], mats[(key, r)] @ w)) ** 2
-            reduced = abs(np.vdot(s.channel(key, r), w)) ** 2
-            assert direct == pytest.approx(reduced, rel=1e-12)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from gainregion.region import (
     PowerClass,
     boundary_strategy,
     boundary_table,
+    class_power,
     dominates,
     full_power_completion,
     hyperplane_bound,
@@ -25,7 +26,7 @@ from gainregion.region import (
     weighted_objective,
 )
 
-from conftest import random_channels
+from conftest import oracle_sweep, random_channels
 
 
 # ---------------------------------------------------------------- gains
@@ -241,36 +242,50 @@ def test_simplex_grid_rejects_bad_step():
         simplex_grid(2, 0.3)
 
 
+def _sweep(channels, e, step, p_free_samples=11):
+    """sweep_boundary's columns, after checking every row bit for bit
+    against boundary_strategy and strategy_gains."""
+    lam, power, classes, gains = sweep_boundary(channels, e, step, p_free_samples)
+    refs = oracle_sweep(channels, np.asarray(e), step, p_free_samples)
+    assert len(lam) == len(power) == len(classes) == len(gains) == len(refs)
+    for l, p, c, g, ref in zip(lam, power, classes, gains, refs):
+        assert np.array_equal(l, ref.lam)
+        assert p == ref.power
+        assert c is ref.power_class
+        assert np.array_equal(g, strategy_gains(channels, ref))
+    return lam, power, classes, gains
+
+
 def test_sweep_boundary_two_receivers(rng):
     channels = random_channels(rng, 2, 2)
-    rows = sweep_boundary(channels, [1, -1], 0.5)
-    assert len(rows) == 3
-    lams = [tuple(r.lam) for r in rows]
-    assert lams == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+    lam, *_ = _sweep(channels, [1, -1], 0.5)
+    assert len(lam) == 3
+    assert [tuple(r) for r in lam] == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
 
 
 def test_sweep_boundary_three_receivers_count(rng):
     channels = random_channels(rng, 3, 3)
-    rows = sweep_boundary(channels, [1, -1, -1], 0.5)
-    assert len(rows) == 6
+    lam, *_ = _sweep(channels, [1, -1, -1], 0.5)
+    assert len(lam) == 6
 
 
 def test_sweep_boundary_rayleigh_oracle(rng):
     channels = random_channels(rng, 2, 2)
     e = np.array([1, -1])
-    rows = sweep_boundary(channels, e, 0.02)
-    assert len(rows) == 51
-    for row in rows:
-        bound = hyperplane_bound(channels, row.lam, e)
-        assert weighted_objective(row.gains, row.lam, e) <= bound + 1e-9
+    lam, _, _, gains = _sweep(channels, e, 0.02)
+    assert len(lam) == 51
+    for l, g in zip(lam, gains):
+        bound = hyperplane_bound(channels, l, e)
+        assert weighted_objective(g, l, e) <= bound + 1e-9
 
 
 def test_sweep_boundary_gain_box(rng):
     channels = random_channels(rng, 3, 3)
     box = np.array([np.linalg.norm(h) ** 2 for h in channels])
-    for row in sweep_boundary(channels, [1, -1, -1], 0.1):
-        assert np.all(row.gains >= -1e-12)
-        assert np.all(row.gains <= box + 1e-9)
+    _, _, _, gains = _sweep(channels, [1, -1, -1], 0.1)
+    for g in gains:
+        assert np.all(g >= -1e-12)
+        assert np.all(g <= box + 1e-9)
 
 
 def test_sweep_boundary_power_control_fan_out(rng):
@@ -280,16 +295,14 @@ def test_sweep_boundary_power_control_fan_out(rng):
     e = np.array([1, -1, -1])
     assert needs_power_control(2, e)
     assert not needs_power_control(3, e)
-    rows = sweep_boundary(channels, e, 0.5, p_free_samples=3)
-    by_class = {}
-    for row in rows:
-        by_class.setdefault(row.strategy.power_class, []).append(row)
-    assert {tuple(r.lam) for r in by_class[PowerClass.FREE]} == {(0, 1, 0), (0, 0, 1)}
-    assert sorted(r.strategy.power for r in by_class[PowerClass.FREE]) == [
-        0.0, 0.0, 0.5, 0.5, 1.0, 1.0,
-    ]
-    for row in by_class[PowerClass.ZERO]:
-        assert np.allclose(row.gains, 0.0)
+    lam, power, classes, gains = _sweep(channels, e, 0.5, p_free_samples=3)
+    free = classes == PowerClass.FREE
+    zero = classes == PowerClass.ZERO
+    assert {tuple(r) for r in lam[free]} == {(0, 1, 0), (0, 0, 1)}
+    assert sorted(power[free]) == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    assert zero.any()
+    for g in gains[zero]:
+        assert np.allclose(g, 0.0)
 
 
 def test_boundary_table_matches_scalar_strategies(rng):
@@ -297,30 +310,22 @@ def test_boundary_table_matches_scalar_strategies(rng):
     channels = random_channels(rng, 2, 3)
     e = np.array([1, -1, -1])
     grid = simplex_grid(3, 0.1)
-    strategies, gains = boundary_table(channels, grid, e)
-    assert len(strategies) == len(grid) and gains.shape == (len(grid), 3)
-    assert {s.power_class for s in strategies} == set(PowerClass)
-    for lam, strat, row in zip(grid, strategies, gains):
-        ref = boundary_strategy(channels, lam, e)
-        assert np.array_equal(strat.lam, lam)
-        assert np.array_equal(strat.direction, ref.direction)
-        assert strat.power_class is ref.power_class
-        assert strat.power == ref.power
-        w = ref.direction
-        assert np.array_equal(row, [abs(np.vdot(w, h)) ** 2 for h in channels])
+    directions, classes, gains = _assert_table_is_oracle(channels, grid, e)
+    assert directions.shape == (len(grid), 2) and gains.shape == (len(grid), 3)
+    assert set(classes) == set(PowerClass)
 
 
 def _assert_table_is_oracle(channels, grid, e):
-    strategies, gains = boundary_table(channels, grid, e)
-    assert len(strategies) == len(grid) and gains.shape == (len(grid), len(channels))
-    for lam, strat, row in zip(grid, strategies, gains):
+    directions, classes, gains = boundary_table(channels, grid, e)
+    assert len(directions) == len(classes) == len(grid)
+    assert gains.shape == (len(grid), len(channels))
+    for lam, w, cls, power, row in zip(grid, directions, classes, class_power(classes), gains):
         ref = boundary_strategy(channels, lam, e)
-        assert np.array_equal(strat.lam, lam)
-        assert np.array_equal(strat.direction, ref.direction)
-        assert strat.power_class is ref.power_class
-        assert strat.power == ref.power
-        w = ref.direction
-        assert np.array_equal(row, [abs(np.vdot(w, h)) ** 2 for h in channels])
+        assert np.array_equal(w, ref.direction)
+        assert cls is ref.power_class
+        assert power == ref.power
+        assert np.array_equal(row, [abs(np.vdot(ref.direction, h)) ** 2 for h in channels])
+    return directions, classes, gains
 
 
 @st.composite
@@ -351,18 +356,26 @@ def test_boundary_table_across_blocks_is_the_scalar_oracle(rng):
 def test_sweep_boundary_rows_match_strategy_gains(rng):
     channels = random_channels(rng, 2, 3)
     e = np.array([1, -1, -1])
-    rows = sweep_boundary(channels, e, 0.1, p_free_samples=5)
-    free = [row for row in rows if row.strategy.power_class is PowerClass.FREE]
-    assert len(free) > 5  # the free rows fan out over the power samples
-    assert {row.strategy.power for row in free} == {0.0, 0.25, 0.5, 0.75, 1.0}
-    for row in rows:
-        assert np.array_equal(row.gains, strategy_gains(channels, row.strategy))
+    _, power, classes, _ = _sweep(channels, e, 0.1, p_free_samples=5)
+    free = classes == PowerClass.FREE
+    assert np.count_nonzero(free) > 5  # the free rows fan out over the power samples
+    assert set(power[free]) == {0.0, 0.25, 0.5, 0.75, 1.0}
 
 
 def test_sweep_boundary_no_fan_out_when_full_power_suffices(rng):
     channels = random_channels(rng, 3, 3)
-    rows = sweep_boundary(channels, [1, -1, -1], 0.1)
-    assert len(rows) == 66  # one row per simplex point
+    lam, *_ = _sweep(channels, [1, -1, -1], 0.1)
+    assert len(lam) == 66  # one row per simplex point
+
+
+def test_class_power_is_the_one_power_rule():
+    classes = np.array([PowerClass.FULL, PowerClass.FREE, PowerClass.ZERO], dtype=object)
+    assert class_power(classes).tolist() == [1.0, 1.0, 0.0]
+    assert class_power(classes, 0.25).tolist() == [1.0, 0.25, 0.0]
+    assert class_power(PowerClass.FREE, 0.25) == 0.25
+    assert type(class_power(PowerClass.FULL)) is float
+    with pytest.raises(ValueError, match="p_free"):
+        class_power(classes, 1.5)
 
 
 # ------------------------------------------------------------- dominance
