@@ -27,14 +27,11 @@ __all__ = [
     "weighted_combination",
     "check_hermitian",
     "eig_hermitian",
-    "dominant_eigpair",
-    "dominant_eigvec",
     "eig_tolerance",
     "tied_blocks",
     "split_ties",
     "projector_onto",
     "projector_complement",
-    "rayleigh",
 ]
 
 # Relative tolerance for accepting a matrix as Hermitian.
@@ -202,15 +199,6 @@ def _span_tiebreak(eigvecs: np.ndarray, span_basis) -> np.ndarray | None:
     return u
 
 
-def _warn_trivial_span() -> None:
-    warnings.warn(
-        "top eigenspace has trivial intersection with the channel span; "
-        "returning an arbitrary eigenspace member",
-        DegenerateEigenspaceWarning,
-        stacklevel=3,
-    )
-
-
 def _block_start(values: np.ndarray, hi: int) -> int:
     """First index of the tied block whose largest member is values[hi - 1].
 
@@ -219,24 +207,6 @@ def _block_start(values: np.ndarray, hi: int) -> int:
     """
     mu = float(values[hi - 1])
     return int(np.searchsorted(values[:hi], mu - eig_tolerance(values), side="left"))
-
-
-def dominant_eigpair(z, span_basis) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a matching unit eigenvector of Hermitian z.
-
-    A tied top block is resolved by the span rule alone: split_ties with
-    a zero perturbation.  Boundary strategies break ties by the interior
-    limit first (region.boundary_eigensystem), which can pick another
-    member of the eigenspace.
-    """
-    es = eig_hermitian(z)
-    es = split_ties(es, tied_blocks(es.values), np.zeros_like(es.vectors), span_basis)
-    return float(es.values[-1]), es.vectors[:, -1].copy()
-
-
-def dominant_eigvec(z, span_basis) -> np.ndarray:
-    """Unit eigenvector of the largest eigenvalue; see dominant_eigpair."""
-    return dominant_eigpair(z, span_basis)[1]
 
 
 def tied_blocks(values) -> list[tuple[int, int]]:
@@ -269,11 +239,12 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
     eigensystems of Z + t D.  Eigenvalues are kept as they are.
 
     If the split still leaves the top eigenvalue tied (within
-    eig_tolerance of the eigenvalues of V^H D V) and ``span_basis`` is
-    given, the top sub-block falls back to the span rule: its member best
-    aligned with the span of ``span_basis`` is put last.  A
-    DegenerateEigenspaceWarning is emitted when that span has no overlap
-    with the sub-block, and the sub-block is kept in the split basis.
+    eig_tolerance of the eigenvalues of V^H D V), the top sub-block falls
+    back to the span rule: its member best aligned with the span of
+    ``span_basis`` (the channels, in region.boundary_eigensystem) is put
+    last.  A DegenerateEigenspaceWarning is emitted when that span has no
+    overlap with the sub-block, and the sub-block is kept in the split
+    basis.  This is the library's one tie rule.
     """
     d = np.asarray(perturbation, dtype=np.complex128)
     vectors = es.vectors.copy()
@@ -283,10 +254,15 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
         nu, y = np.linalg.eigh((m + m.conj().T) / 2.0)
         v = v @ y
         first = _block_start(nu, nu.size)
-        if hi == es.dim and first < nu.size - 1 and span_basis is not None:
+        if hi == es.dim and first < nu.size - 1:
             coeffs = _span_tiebreak(v[:, first:], span_basis)
             if coeffs is None:
-                _warn_trivial_span()
+                warnings.warn(
+                    "top eigenspace has trivial intersection with the channel span; "
+                    "returning an arbitrary eigenspace member",
+                    DegenerateEigenspaceWarning,
+                    stacklevel=2,
+                )
             else:
                 v[:, first:] = v[:, first:] @ coeffs[:, ::-1]
         vectors[:, lo:hi] = fix_phase(v)
@@ -357,9 +333,3 @@ def _require_full_rank(a: np.ndarray) -> None:
             f"columns are numerically rank deficient; dependent columns: {offending}"
         )
 
-
-def rayleigh(z, v) -> float:
-    """Real Rayleigh quotient numerator v^H Z v for unit-normalized use."""
-    a = np.asarray(z, dtype=np.complex128)
-    u = as_cvec(v)
-    return float(np.real(u.conj() @ (a @ u)))

@@ -127,13 +127,6 @@ class Scenario:
         """Channel vectors from one transmitter to receivers 1..K, in order."""
         return [self.channel(tid, r) for r in self.receivers]
 
-    def has_channels(self) -> bool:
-        return all(
-            (t.channel_key, r) in self.channels
-            for t in self.transmitters
-            for r in self.receivers
-        )
-
 
 def _check_structure(s: Scenario) -> None:
     if s.n_receivers < 1:

@@ -31,7 +31,6 @@ __all__ = [
     "NullConstraintSet",
     "null_constraints",
     "projected_mrt",
-    "gain_profile",
     "verify_gain_equivalence",
     "eigenvalue_structure",
 ]
@@ -120,11 +119,6 @@ def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
     if norm <= 1e-12 * np.linalg.norm(h):
         raise ValueError("projected intended channel is numerically zero")
     return d / norm
-
-
-def gain_profile(w, probes) -> np.ndarray:
-    """Squared inner products |g^H w|^2 against a list of probe vectors."""
-    return unit_gains(probes, w)
 
 
 def verify_gain_equivalence(

@@ -338,9 +338,10 @@ class UtilitySweep:
     """Result of a utility-region sweep: utilities plus the axis grids.
 
     Rows are in C order over the axis shape, i.e. lexicographic over the
-    parameter axes.  Use items() to iterate (ParameterPoint, utilities)
-    pairs, parameter_rows() for a block of rows, or
-    parameter_row()/parameter_point() for a single row.
+    parameter axes.  Row i holds ``utilities[i]`` at the parameters
+    ``parameter_point(i)`` (as a ParameterPoint) or ``parameter_row(i)``
+    (as one row of the CSV parameter columns); ``parameter_rows()`` gathers
+    a block of rows.
     """
 
     def __init__(self, scenario: Scenario, spec: UtilitySpec, axes: list[SweepAxis], utilities: np.ndarray):
@@ -361,9 +362,6 @@ class UtilitySweep:
     def utility_columns(self) -> tuple[str, ...]:
         return tuple(f"u_{r}" for r in self.scenario.receivers)
 
-    def axis_indices(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.unravel_index(i, self.shape))
-
     def parameter_rows(self, indices) -> np.ndarray:
         """Parameter columns of flat grid indices: (n, P) for n indices, (P,) for one.
 
@@ -377,9 +375,8 @@ class UtilitySweep:
         return self.parameter_rows(i)
 
     def parameter_point(self, i: int) -> ParameterPoint:
-        idx = self.axis_indices(i)
         lambdas, splits, free_powers = {}, {}, {}
-        for ax, j in zip(self.axes, idx):
+        for ax, j in zip(self.axes, np.unravel_index(i, self.shape)):
             if ax.kind == "lambda":
                 lambdas[ax.label] = ax.values[j]
             elif ax.kind == "split":
@@ -390,10 +387,6 @@ class UtilitySweep:
 
     def flat_index(self, indices) -> int:
         return int(np.ravel_multi_index(tuple(indices), self.shape))
-
-    def items(self):
-        for i in range(len(self)):
-            yield self.parameter_point(i), self.utilities[i]
 
 
 def sweep_utility_region(

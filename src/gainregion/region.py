@@ -22,6 +22,7 @@ maps receivers 1..K onto positions 0..K-1.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,19 +106,13 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     Rows are ordered lexicographically ascending; ``simplex_grid_size``
     validates the arguments and gives the row count.
     """
-    simplex_grid_size(k, step)
+    size = simplex_grid_size(k, step)
     m = round(1.0 / step)
-    rows = []
-
-    def build(prefix, remaining, parts):
-        if parts == 1:
-            rows.append(prefix + [remaining])
-            return
-        for first in range(remaining + 1):
-            build(prefix + [first], remaining - first, parts - 1)
-
-    build([], m, k)
-    return np.array(rows, dtype=float) / m
+    # Stars and bars: K - 1 bars among m + K - 1 slots, in lexicographic
+    # order of the bar positions, which is that of the parts between them.
+    bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=np.intp)
+    parts = np.diff(bars.reshape(size, k - 1), prepend=-1, append=m + k - 1) - 1
+    return parts / m
 
 
 def check_simplex_weight(lam) -> np.ndarray:
@@ -294,10 +289,11 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
     its class_power times its gains row.  Every sweep builds on this table.
 
     Each block of _TABLE_BLOCK grid rows is one eig_hermitian call on the
-    (B, N, N) stack of Z; a row whose eigenvalues may be tied is handed to
-    boundary_strategy for the interior-limit split.  Every row's direction,
-    class and gains are bitwise those of boundary_strategy and unit_gains
-    at its weights alone.
+    (B, N, N) stack of Z; a row whose top eigenvalue is tied is handed to
+    boundary_strategy for the interior-limit split.  The split keeps the
+    eigenvalues and rewrites only the columns of tied blocks, so no other
+    row can change.  Every row's direction, class and gains are bitwise
+    those of boundary_strategy and unit_gains at its weights alone.
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
@@ -310,11 +306,10 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
         values = stack.values
         directions[rows] = stack.vectors[..., -1]
         classes[rows] = _power_class(values)
-        # _block_start's test per adjacent pair: a superset of tied_blocks' rows
-        tol = eig_tolerance(values)[:, None]
-        maybe_tied = (values[:, :-1] >= values[:, 1:] - tol).any(axis=1)
-        # The split keeps the eigenvalues, so only the direction can change.
-        for g in start + np.flatnonzero(maybe_tied):
+        # tied_blocks' test on the top pair: values[:, -2] within
+        # eig_tolerance of values[:, -1] (never for N = 1)
+        top_block = values >= (values[:, -1] - eig_tolerance(values))[:, None]
+        for g in start + np.flatnonzero(np.count_nonzero(top_block, axis=1) > 1):
             directions[g] = boundary_strategy(vecs, grid[g], e).direction
     return directions, classes, unit_gains(vecs, directions)
 

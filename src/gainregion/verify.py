@@ -298,7 +298,10 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> list[Check]:
-    """Run one suite (or 'all'); unknown names raise KeyError."""
+    """Run one suite (or 'all'); unknown names raise KeyError, and fewer
+    than one trial raises ValueError."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if name == "all":
         out = []
         for key in sorted(SUITES):

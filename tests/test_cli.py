@@ -16,6 +16,7 @@ from gainregion.pareto import (
     sweep_utility_region,
 )
 from gainregion.region import PowerClass, strategy_gains, sweep_boundary
+from gainregion.verify import suite_names
 
 from conftest import oracle_sweep
 
@@ -200,6 +201,16 @@ def test_verify_known_suites(capsys):
 def test_verify_two_user_suite(capsys):
     assert run("verify", "--suite", "two-user", "--seed", "3", "--trials", "20") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(trials, capsys):
+    # No suite may print vacuous PASS lines, or fail inside numpy, on no trials.
+    for suite in suite_names():
+        assert run("verify", "--suite", suite, "--trials", trials) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: trials must be >= 1, got {trials}\n"
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from gainregion.linalg import dominant_eigvec, eig_hermitian, weighted_combination
+from gainregion.linalg import eig_hermitian, weighted_combination
 from gainregion.nullshape import (
     eigenvalue_structure,
-    gain_profile,
     null_constraints,
     projected_mrt,
     verify_gain_equivalence,
 )
+from gainregion.region import boundary_strategy, unit_gains
 
 from conftest import random_channels
 
@@ -77,15 +77,15 @@ def test_projected_mrt_satisfies_constraints(rng):
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gain_profile_equivalence(rng):
+def test_projected_mrt_gains_equal_the_boundary_direction(rng):
     channels = random_channels(rng, 4, 3)
     lam = np.array([0.25, 0.35, 0.4])
     cs = null_constraints(channels, lam, E3)
     w_proj = projected_mrt(cs, channels[0])
-    v_top = dominant_eigvec(weighted_combination(channels, lam, E3), channels)
+    v_top = boundary_strategy(channels, lam, E3).direction
     probes = random_channels(rng, 4, 6) + list(channels)
-    a = gain_profile(w_proj, probes)
-    b = gain_profile(v_top, probes)
+    a = unit_gains(probes, w_proj)
+    b = unit_gains(probes, v_top)
     rel = np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-9)
     assert rel.max() <= 1e-8
 

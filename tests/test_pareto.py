@@ -173,11 +173,10 @@ def test_sweep_two_user_counts():
     s = ic_scenario(seed=7, users=2, antennas=2)
     sweep = sweep_utility_region(s, step=0.5)
     assert len(sweep) == 9
-    pairs = list(sweep.items())
-    assert len(pairs) == 9
-    point, u = pairs[0]
-    assert set(point.lambdas) == {"1", "2"}
-    assert u.shape == (2,)
+    assert sweep.utilities.shape == (9, 2)
+    for i in range(9):
+        assert set(sweep.parameter_point(i).lambdas) == {"1", "2"}
+        assert sweep.utilities[i].shape == (2,)
 
 
 def test_sweep_axes_mixed_example():

@@ -1,9 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gainregion.linalg import outer_product, projector_complement
+from gainregion import region
+from gainregion.linalg import (
+    eig_hermitian,
+    eig_tolerance,
+    outer_product,
+    projector_complement,
+    tied_blocks,
+    weighted_combination,
+)
 from gainregion.region import (
     BoundaryStrategy,
     PowerClass,
@@ -55,6 +65,17 @@ def test_power_gain_matches_trace_form(rng):
 def test_power_gain_dim_mismatch():
     with pytest.raises(ValueError):
         power_gain(np.eye(3), [1.0, 0.0])
+
+
+def test_power_gain_of_a_unit_vector_is_below_the_top_eigenvalue(rng):
+    # Supporting-hyperplane oracle: no unit vector beats the top eigenvalue.
+    for _ in range(50):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z = (g + g.conj().T) / 2
+        mu_max = eig_hermitian(z).values[-1]
+        u = random_channels(rng, 4, 1)[0]
+        u = u / np.linalg.norm(u)
+        assert power_gain(z, u) <= mu_max + 1e-10
 
 
 # ------------------------------------------------------------ power rule
@@ -122,6 +143,14 @@ def test_boundary_strategy_free_defaults_to_full_power(rng):
     # The beamformer nulls the suppressed channel (zero forcing anchor).
     gains = strategy_gains(channels, s)
     assert gains[1] <= 1e-12 * np.linalg.norm(channels[1]) ** 2
+
+
+def test_boundary_strategy_tied_top_takes_the_in_span_null_direction():
+    # At lam = (0, 1), Z = -h2 h2^H has top eigenvalue 0 with multiplicity
+    # 2; the interior limit must select the in-span null direction e1.
+    h2 = np.array([0, 0, 1.0])
+    s = boundary_strategy([np.array([1.0, 0, 0]), h2], [0, 1], [1, -1])
+    assert abs(np.vdot(s.direction, [1, 0, 0])) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_boundary_strategy_face_weights_are_interior_limits(rng):
@@ -225,6 +254,16 @@ def test_simplex_grid_counts():
     assert simplex_grid(3, 0.1).shape == (66, 3)
 
 
+def test_simplex_grid_is_the_filtered_product_bitwise():
+    # Every composition of m into K parts, in lexicographic order.
+    for k in range(1, 5):
+        for m in range(1, 11):
+            rows = [p for p in itertools.product(range(m + 1), repeat=k) if sum(p) == m]
+            want = np.array(rows, dtype=float) / m
+            got = simplex_grid(k, 1.0 / m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, m)
+
+
 def test_simplex_grid_size_counts_without_building():
     for k, step in ((1, 0.5), (2, 0.02), (3, 0.1), (4, 0.25), (5, 1.0)):
         assert simplex_grid_size(k, step) == len(simplex_grid(k, step))
@@ -326,6 +365,33 @@ def _assert_table_is_oracle(channels, grid, e):
         assert power == ref.power
         assert np.array_equal(row, [abs(np.vdot(ref.direction, h)) ** 2 for h in channels])
     return directions, classes, gains
+
+
+def test_boundary_table_hands_only_top_tied_rows_to_the_oracle(rng, monkeypatch):
+    # The split rewrites only tied blocks, so only a tied top eigenvalue
+    # can move the direction.  At step 1/3 the +1 vertices tie the lower
+    # eigenvalues of Z alone, and the faces of the -1 receivers tie the top.
+    channels = random_channels(rng, 4, 4)
+    e = np.array([1, 1, -1, -1])
+    grid = simplex_grid(4, 1.0 / 3.0)
+    seen = []
+    oracle = region.boundary_strategy
+
+    def spy(vecs, lam, direction):
+        seen.append(tuple(lam))
+        return oracle(vecs, lam, direction)
+
+    monkeypatch.setattr(region, "boundary_strategy", spy)
+    boundary_table(channels, grid, e)
+    top_tied, lower_tied = [], 0
+    for lam in grid:
+        values = eig_hermitian(weighted_combination(channels, lam, e)).values
+        if values[-2] >= values[-1] - eig_tolerance(values):
+            top_tied.append(tuple(lam))
+        elif tied_blocks(values):
+            lower_tied += 1
+    assert top_tied and lower_tied
+    assert seen == top_tied
 
 
 @st.composite
