@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gain.add_argument("--transmitter", help="transmitter id (defaults to the only one)")
     p_gain.add_argument(
         "--direction",
-        help="comma-separated +-1 entries; defaults to the receiver sets",
+        help="comma-separated +-1 entries, given with '=' when the first is "
+        "negative (--direction=-1,+1,+1); defaults to the receiver sets",
     )
     p_gain.add_argument("--step", type=float, default=0.02)
     p_gain.add_argument("--p-samples", type=int, default=11, dest="p_samples")

@@ -120,7 +120,7 @@ def weighted_combination(channels, weights, directions) -> np.ndarray:
 
 
 def check_hermitian(z) -> np.ndarray:
-    """Validate a square matrix, or a stack (..., N, N), as Hermitian
+    """Validate a finite square matrix, or a stack (..., N, N), as Hermitian
     within HERMITIAN_RTOL times each matrix's own largest entry magnitude,
     so every scale is checked alike."""
     a = np.asarray(z, dtype=np.complex128)
@@ -128,6 +128,8 @@ def check_hermitian(z) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] == 0:
         raise ValueError("zero-dimensional eigenproblem")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     scale = np.abs(a).max(axis=(-2, -1))
     err = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
     bad = err > HERMITIAN_RTOL * scale
@@ -301,7 +303,8 @@ def _stack_columns(columns, dim: int | None) -> np.ndarray:
 
 
 def projector_onto(columns, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the column space of the given vectors."""
+    """Orthogonal projector onto the column space of the given vectors, zero
+    for none; rank-deficient sets are rejected, naming the offending columns."""
     a = _stack_columns(columns, dim)
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
@@ -311,18 +314,10 @@ def projector_onto(columns, dim: int | None = None) -> np.ndarray:
 
 
 def projector_complement(columns, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the orthogonal complement of the columns.
-
-    An empty column set yields the identity.  Rank-deficient column sets
-    are rejected, naming the offending columns.
-    """
-    a = _stack_columns(columns, dim)
-    n = a.shape[0]
-    if a.shape[1] == 0:
-        return np.eye(n, dtype=np.complex128)
-    _require_full_rank(a)
-    q, _ = np.linalg.qr(a, mode="reduced")
-    return np.eye(n, dtype=np.complex128) - q @ q.conj().T
+    """Orthogonal projector I - projector_onto(columns) onto the orthogonal
+    complement of the columns; an empty column set yields the identity."""
+    p = projector_onto(columns, dim)
+    return np.eye(p.shape[0], dtype=np.complex128) - p
 
 
 def _require_full_rank(a: np.ndarray) -> None:

@@ -61,9 +61,6 @@ class TransmitterSpec:
             self, "channel_key", str(tid) if channel_key is None else str(channel_key)
         )
 
-    def unintended(self, n_receivers: int) -> frozenset[int]:
-        return frozenset(range(1, n_receivers + 1)) - self.intended
-
 
 @dataclass(frozen=True)
 class Scenario:

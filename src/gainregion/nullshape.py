@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cvec, eig_tolerance, unit
+from .linalg import as_cvec, eig_tolerance
 from .region import (
     boundary_eigensystem,
     boundary_strategy,
@@ -40,23 +40,21 @@ __all__ = [
 class NullConstraintSet:
     """Null-shaping constraints: orthonormal directions to radiate zero power.
 
-    ``columns`` holds the selected eigenvectors of the weighted channel
-    combination (the smallest-eigenvalue block plus the below-top block of
-    the largest ones); there are K - 1 of them when the receiver sets are
-    exhaustive.
+    ``columns`` (N, C), read-only, holds the eigenvectors of the weighted
+    channel combination at ``low_range`` (the smallest-eigenvalue block),
+    then at ``high_range`` (the block below the top), half-open 0-based
+    ranges in nondecreasing eigenvalue order; C = K - 1 when the receiver
+    sets are exhaustive.
     """
 
     columns: np.ndarray
-    lam: np.ndarray
-    e: np.ndarray
-    low_range: tuple[int, int]  # half-open 0-based index ranges into the
-    high_range: tuple[int, int]  # nondecreasing eigenvalue ordering
+    low_range: tuple[int, int]
+    high_range: tuple[int, int]
 
     def __post_init__(self):
-        for name in ("columns", "lam", "e"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        cols = np.asarray(self.columns)
+        cols.flags.writeable = False
+        object.__setattr__(self, "columns", cols)
 
     @property
     def n_constraints(self) -> int:
@@ -88,27 +86,22 @@ def null_constraints(channels, lam, e) -> NullConstraintSet:
         raise ValueError(f"null shaping needs n_antennas >= receivers, got {n} < {k}")
     n_in = int(np.sum(e == 1))
     n_un = k - n_in
+    # n >= k, so the ranges cannot overlap: n - n_in >= k - n_in = n_un.
     low = (0, n_un)
     high = (n - n_in, n - 1)
-    if high[0] < low[1] and high[1] > high[0]:
-        raise ValueError(
-            f"constraint index ranges overlap: {low} and {high} at n={n}, k={k}"
-        )
     es = boundary_eigensystem(vecs, lam, e)
     cols = np.hstack([es.vectors[:, low[0] : low[1]], es.vectors[:, high[0] : high[1]]])
-    return NullConstraintSet(columns=cols, lam=lam, e=e, low_range=low, high_range=high)
+    return NullConstraintSet(columns=cols, low_range=low, high_range=high)
 
 
 def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
     """MRT projected onto the orthogonal complement of the constraints.
 
     The result radiates zero power along every constraint column.  An
-    empty constraint set reduces to plain MRT.
+    empty constraint set gives plain MRT, unit(h), bit for bit.
     """
     h = as_cvec(h_intended)
     cols = constraints.columns
-    if cols.shape[1] == 0:
-        return unit(h)
     if cols.shape[0] != h.size:
         raise ValueError(
             f"constraints have dimension {cols.shape[0]}, channel has {h.size}"
@@ -121,28 +114,20 @@ def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
     return d / norm
 
 
-def verify_gain_equivalence(
-    channels,
-    lam,
-    e,
-    probes: int = 50,
-    seed: int = 0,
-    intended_index: int | None = None,
-) -> float:
+def verify_gain_equivalence(channels, lam, e, probes: int = 50, seed: int = 0) -> float:
     """Largest relative gain mismatch between projected MRT and the
     direction of ``region.boundary_strategy``.
 
-    Gains are compared on ``probes`` random unit vectors plus every channel
-    vector.  The relative difference uses an absolute floor of 1e-9 times
-    the probe's maximum achievable gain, so vanishing gains do not inflate
-    the ratio.
+    The MRT is that of the first intended channel (the first +1 entry of
+    e).  Gains are compared on ``probes`` random unit vectors plus every
+    channel vector.  The relative difference uses an absolute floor of
+    1e-9 times the probe's maximum achievable gain, so vanishing gains do
+    not inflate the ratio.
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
-    if intended_index is None:
-        intended_index = int(np.argmax(e == 1))
     constraints = null_constraints(vecs, lam, e)
-    w_proj = projected_mrt(constraints, vecs[intended_index])
+    w_proj = projected_mrt(constraints, vecs[int(np.argmax(e == 1))])
     v_top = boundary_strategy(vecs, lam, e).direction
     rng = np.random.default_rng(seed)
     n = vecs[0].size
@@ -161,11 +146,12 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     """Diagnostics of the eigenvalue sign pattern of the combination.
 
     Reads the eigensystem that null_constraints and boundary_strategy use
-    (``region.boundary_eigensystem``).  Returns the eigenvalues, the
-    tolerance tau = linalg.eig_tolerance of the eigenvalues, the largest
-    of the low block (must be <= tau), the largest magnitude in the middle
-    block (must be <= tau), and the worst channel annihilation residual of
-    the middle-block eigenvectors over channels with positive weight.
+    (``region.boundary_eigensystem``).  Returns a dict of four floats:
+    ``tau`` = linalg.eig_tolerance of the eigenvalues; ``low_max``, the
+    largest of the low block (must be <= tau; -inf if empty);
+    ``middle_absmax``, the largest magnitude in the middle block (must be
+    <= tau; 0 if empty); and ``annihilation``, the worst |h^H v| / |h| of
+    the middle-block eigenvectors v over channels h with positive weight.
     """
     vecs = [as_cvec(h) for h in channels]
     lam = check_simplex_weight(lam)
@@ -187,11 +173,8 @@ def eigenvalue_structure(channels, lam, e) -> dict:
                     annihilation, abs(np.vdot(h, v)) / np.linalg.norm(h)
                 )
     return {
-        "values": es.values,
         "tau": tau,
         "low_max": float(low.max()) if low.size else float("-inf"),
         "middle_absmax": float(np.abs(middle).max()) if middle.size else 0.0,
-        "n_zero_expected": max(n - k, 0),
         "annihilation": annihilation,
-        "eigensystem": es,
     }

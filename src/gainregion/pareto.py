@@ -5,6 +5,9 @@ profiles, evaluates log-SINR utilities, sweeps the joint parameter grid
 into a utility cloud, filters it to the nondominated set, and carries the
 two-user MRT/ZF-combination results with their verification oracles.
 
+A transmitter's strategy in a profile is a ``region.BoundaryStrategy``
+whose power is its boundary power times its power group split.
+
 Sweeps are pure maps over a deterministic parameter enumeration: rows are
 lexicographic over the axes (per-transmitter simplex grids, then power
 group splits, then power levels for transmitters that need power
@@ -24,24 +27,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    as_cvec,
-    outer_product,
-    projector_complement,
-    projector_onto,
-    unit,
-)
+from .linalg import as_cvec, projector_complement, projector_onto, unit
 from .network import Scenario, direction_vector
 from .region import (
-    BoundaryStrategy,
     PowerClass,
     boundary_eigensystem,
     boundary_strategy,
     boundary_table,
+    check_simplex_weight,
     class_power,
     needs_power_control,
     simplex_grid,
@@ -57,7 +54,6 @@ __all__ = [
     "rate",
     "utilities",
     "ParameterPoint",
-    "TransmitStrategy",
     "pareto_strategies",
     "strategy_gain_matrix",
     "utilities_at",
@@ -176,27 +172,6 @@ class ParameterPoint:
         )
 
 
-@dataclass(frozen=True)
-class TransmitStrategy:
-    """A boundary strategy scaled by the transmitter's power group share."""
-
-    tid: str
-    boundary: BoundaryStrategy
-    split: float
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.boundary.direction
-
-    @property
-    def power(self) -> float:
-        """Realized covariance trace: group share times boundary power."""
-        return self.split * self.boundary.power
-
-    def covariance(self) -> np.ndarray:
-        return self.power * outer_product(self.direction)
-
-
 def _split_fraction(s: Scenario, point: ParameterPoint, tid: str) -> float:
     group = s.group_of(tid)
     if len(group) == 1:
@@ -208,18 +183,17 @@ def _split_fraction(s: Scenario, point: ParameterPoint, tid: str) -> float:
     fractions = np.asarray(fractions, dtype=float)
     if fractions.size != len(group):
         raise ValueError(f"group {group} needs {len(group)} fractions, got {fractions.size}")
-    if np.any(fractions < -1e-12) or abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError(f"group fractions must be nonnegative and sum to 1, got {fractions}")
-    return float(fractions[group.index(tid)])
+    return float(check_simplex_weight(fractions)[group.index(tid)])
 
 
 def pareto_strategies(s: Scenario, point: ParameterPoint) -> dict:
     """Per-transmitter boundary strategies for one parameter point.
 
-    Each transmitter beamforms along the dominant eigenvector of its
-    weighted channel combination in its own direction vector, with the
-    full/free/zero power rule; members of a shared power group are scaled
-    so the group's covariance traces equal the split fractions.
+    Maps each transmitter id to its ``boundary_strategy`` (the dominant
+    eigenvector of its weighted channel combination in its own direction
+    vector, with the full/free/zero power rule), with the power scaled by
+    its group's split fraction; ``power_class`` stays the class of its
+    weights.  Splits must pass ``region.check_simplex_weight``.
     """
     out = {}
     for t in s.transmitters:
@@ -231,7 +205,7 @@ def pareto_strategies(s: Scenario, point: ParameterPoint) -> dict:
         bs = boundary_strategy(
             s.channels_for(t.tid), lam, e, p_free=point.free_powers.get(t.tid)
         )
-        out[t.tid] = TransmitStrategy(tid=t.tid, boundary=bs, split=_split_fraction(s, point, t.tid))
+        out[t.tid] = replace(bs, power=_split_fraction(s, point, t.tid) * bs.power)
     return out
 
 
@@ -344,9 +318,8 @@ class UtilitySweep:
     a block of rows.
     """
 
-    def __init__(self, scenario: Scenario, spec: UtilitySpec, axes: list[SweepAxis], utilities: np.ndarray):
+    def __init__(self, scenario: Scenario, axes: list[SweepAxis], utilities: np.ndarray):
         self.scenario = scenario
-        self.spec = spec
         self.axes = axes
         self.shape = tuple(len(ax) for ax in axes)
         self.utilities = utilities
@@ -429,7 +402,7 @@ def sweep_utility_region(
             for tid in rule.interference:
                 interference = interference + np.broadcast_to(fields[tid][j], shape)[i0]
             out[rows, j] = np.log2(1.0 + signal / (sigma2 + interference)).ravel()
-    return UtilitySweep(scenario=s, spec=spec, axes=axes, utilities=out)
+    return UtilitySweep(scenario=s, axes=axes, utilities=out)
 
 
 def pareto_filter(points) -> list[int]:

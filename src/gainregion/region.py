@@ -116,11 +116,13 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
 
 
 def check_simplex_weight(lam) -> np.ndarray:
-    """Validate weights (K,), or rows of weights (G, K), in [0, 1] summing
-    to 1 within SIMPLEX_TOL."""
+    """Validate finite weights (K,), or rows of weights (G, K), in [0, 1]
+    summing to 1 within SIMPLEX_TOL."""
     w = np.asarray(lam, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] == 0:
         raise ValueError(f"expected weights of shape (K,) or (G, K), got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w}")
     if np.any(w < -SIMPLEX_TOL) or np.any(w > 1.0 + SIMPLEX_TOL):
         raise ValueError(f"weights must lie in [0, 1], got {w}")
     sums = w.sum(axis=-1)
@@ -166,7 +168,7 @@ def _power_class(values):
     stack (..., N); each row is judged against its own eig_tolerance."""
     mu_max = values[..., -1]
     tau = eig_tolerance(values)
-    # 0 below -tau, 2 above tau, 1 in the band (and for NaN)
+    # 0 below -tau, 2 above tau, 1 in the band
     return _CLASS_BY_SIGN[(mu_max > tau).astype(np.intp) - (mu_max < -tau) + 1]
 
 
@@ -218,8 +220,10 @@ def _boundary_eig(vecs, lam: np.ndarray, e: np.ndarray) -> EigenSystem:
 class BoundaryStrategy:
     """A rank-1 boundary strategy: unit beamformer plus a power level.
 
-    The realized transmit covariance is ``power * w w^H`` (the power is the
-    covariance eigenvalue, so the emitted amplitude is sqrt(power)).
+    ``covariance()`` is ``power * w w^H``, so ``power`` is the realized
+    trace (the emitted amplitude is sqrt(power)); in pareto_strategies it
+    includes the power group split.  ``power_class`` is the class of the
+    boundary weights ``lam``, which a split does not change.
     """
 
     direction: np.ndarray
@@ -420,14 +424,12 @@ def full_power_completion(p, channels, target: int) -> np.ndarray:
     return q + (1.0 - trace) * np.outer(d, d.conj()) / nd2
 
 
-def random_feasible_covariance(
-    seed: int, n: int, rank: int | None = None, full_power: bool = False
-) -> np.ndarray:
-    """Deterministic random PSD covariance with trace <= 1.
+def random_feasible_covariance(seed: int, n: int, rank: int | None = None) -> np.ndarray:
+    """Deterministic random PSD covariance of rank ``rank`` (default n) and
+    trace drawn from [0.05, 0.95], so strictly below full power.
 
     The eigenvalues are bounded away from zero relative to the trace, so
-    the requested rank is achieved decisively.  full_power pins the trace
-    to exactly 1.
+    the requested rank is achieved decisively.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -438,7 +440,7 @@ def random_feasible_covariance(
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     basis, _ = np.linalg.qr(g)
     weights = rng.uniform(0.1, 1.0, r)
-    trace = 1.0 if full_power else float(rng.uniform(0.05, 0.95))
+    trace = float(rng.uniform(0.05, 0.95))
     weights = weights / weights.sum() * trace
     return (basis * weights) @ basis.conj().T
 

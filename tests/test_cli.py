@@ -137,6 +137,45 @@ def test_sweep_gain_single_receiver(tmp_path):
     )
 
 
+def test_sweep_gain_direction_with_a_leading_minus(tmp_path):
+    # argparse reads "-1,..." after a space as an option; the "=" form works.
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "3",
+        "--seed", "4", "--out", str(scen))
+    out = tmp_path / "gain.csv"
+    assert run("sweep-gain", "--scenario", str(scen), "--transmitter", "1",
+               "--direction=-1,+1,+1", "--step", "0.1", "--out", str(out)) == 0
+    meta, _, _ = read_cloud(out)
+    assert meta["direction"] == "-1,1,1"
+    s = load_scenario(scen)
+    lam, power, classes, gains = sweep_boundary(s.channels_for("1"), [-1, 1, 1], 0.1)
+    expected = [
+        ",".join([per_value_line([*lam[r], power[r]]), classes[r].value,
+                  per_value_line(gains[r])])
+        for r in range(len(power))
+    ]
+    assert data_lines(out) == expected
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        ("+1,-1", "direction needs 3 entries, got 2"),
+        ("+1,0,-1", "direction entries must be +1 or -1, got '0'"),
+    ],
+)
+def test_sweep_gain_rejects_a_bad_direction(tmp_path, capsys, direction, message):
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "3",
+        "--seed", "4", "--out", str(scen))
+    capsys.readouterr()
+    out = tmp_path / "gain.csv"
+    assert run("sweep-gain", "--scenario", str(scen), "--transmitter", "1",
+               f"--direction={direction}", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_rates_two_user_grid(tmp_path):
     scen = tmp_path / "ic.json"
     run("gen", "--template", "ic", "--users", "2", "--antennas", "2",

@@ -121,6 +121,14 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_hermitian_rejects_non_finite_entries():
+    # NaN fails every comparison, so the Hermitian test alone would pass it.
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for z in (nan, np.stack([np.eye(2), nan]), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(z)
+
+
 def test_eig_hermitian_rejects_non_hermitian_at_any_scale():
     # The asymmetry bound is relative to the matrix's own entries, so a
     # tiny non-Hermitian matrix is refused like its unit-scale version.
@@ -236,7 +244,7 @@ def test_projector_complement_single_column():
 
 
 def test_projector_complement_empty_is_identity():
-    assert np.allclose(projector_complement([], dim=3), np.eye(3))
+    assert np.array_equal(projector_complement([], dim=3), np.eye(3))
 
 
 def test_projector_complement_identities(rng):

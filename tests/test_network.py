@@ -155,8 +155,5 @@ def test_mixed_skeleton_receiver_sets():
     s = mixed_skeleton()
     t11, t12, t2 = s.transmitters
     assert (t11.intended, t12.intended, t2.intended) == ({1}, {2}, {2, 3})
-    assert t11.unintended(3) == {2, 3}
-    assert t12.unintended(3) == {1, 3}
-    assert t2.unintended(3) == {1}
     assert s.power_groups == (("11", "12"), ("2",))
     assert t11.channel_key == t12.channel_key == "1"

@@ -31,8 +31,10 @@ from gainregion.pareto import (
     verify_two_user_identity,
     zf_beamformer,
 )
+from gainregion.linalg import outer_product
 from gainregion.region import (
     PowerClass,
+    boundary_strategy,
     full_power_completion,
     power_gain,
     random_feasible_covariance,
@@ -163,6 +165,46 @@ def test_pareto_strategies_requires_split():
         lambdas={t: indicator(0, 3) for t in s.tids}, splits={}, free_powers={}
     )
     with pytest.raises(ValueError, match="split"):
+        pareto_strategies(s, point)
+
+
+def test_pareto_strategies_scale_the_boundary_strategy_by_the_split():
+    # 11 and 12 share one power budget; 11 weights only receivers 2 and 3,
+    # which it does not serve and 3 antennas can null, so it is FREE.
+    s = generate_channels(5, mixed_skeleton(3))
+    lambdas = {
+        "11": np.array([0.0, 0.5, 0.5]),
+        "12": np.array([0.2, 0.6, 0.2]),
+        "2": np.array([0.2, 0.2, 0.6]),
+    }
+    split = (0.3, 0.7)
+    point = ParameterPoint(
+        lambdas=lambdas, splits={("11", "12"): np.array(split)}, free_powers={"11": 0.4}
+    )
+    strategies = pareto_strategies(s, point)
+    for tid, share in zip(("11", "12"), split):
+        ref = boundary_strategy(
+            s.channels_for(tid), lambdas[tid], direction_vector(s, tid),
+            p_free=point.free_powers.get(tid),
+        )
+        got = strategies[tid]
+        assert got.power == share * ref.power
+        assert got.power_class is ref.power_class
+        assert np.array_equal(got.direction, ref.direction)
+        assert np.array_equal(got.covariance(), got.power * outer_product(got.direction))
+    assert strategies["11"].power_class is PowerClass.FREE
+    assert strategies["11"].power == 0.3 * 0.4
+
+
+@pytest.mark.parametrize("fractions", [[np.nan, np.nan], [0.5, 0.5 + 1e-10]])
+def test_pareto_strategies_reject_a_split_off_the_simplex(fractions):
+    s = generate_channels(2, mixed_skeleton())
+    point = ParameterPoint(
+        lambdas={t: indicator(0, 3) for t in s.tids},
+        splits={("11", "12"): np.array(fractions)},
+        free_powers={},
+    )
+    with pytest.raises(ValueError, match="finite|sum to 1"):
         pareto_strategies(s, point)
 
 

@@ -19,6 +19,7 @@ from gainregion.region import (
     PowerClass,
     boundary_strategy,
     boundary_table,
+    check_simplex_weight,
     class_power,
     dominates,
     full_power_completion,
@@ -94,6 +95,25 @@ def test_power_rule_zero_negative_definite(rng):
 def test_power_rule_free_on_null_space(rng):
     h2 = random_channels(rng, 3, 1)[0]
     assert power_rule(-outer_product(h2)) is PowerClass.FREE
+
+
+def test_power_rule_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="non-finite"):
+        power_rule(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_weights_must_be_finite(rng):
+    channels = random_channels(rng, 2, 3)
+    e = [1, -1, -1]
+    nan = [np.nan] * 3
+    with pytest.raises(ValueError, match="finite"):
+        check_simplex_weight(nan)
+    with pytest.raises(ValueError, match="finite"):
+        check_simplex_weight([[1.0, 0.0, 0.0], [np.nan, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        hyperplane_bound(channels, nan, e)
+    with pytest.raises(ValueError, match="finite"):
+        boundary_strategy(channels, nan, e)
 
 
 # ----------------------------------------------------- boundary strategy
@@ -556,11 +576,6 @@ def test_random_feasible_covariance_basics():
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-12
         assert np.trace(q).real <= 1 + 1e-12
-
-
-def test_random_feasible_covariance_full_power():
-    q = random_feasible_covariance(3, 3, full_power=True)
-    assert np.trace(q).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_feasible_covariance_rank():
