@@ -412,10 +412,9 @@ def pareto_filter(points) -> list[int]:
     strictly greater in at least one coordinate, so every exact duplicate
     of a kept point is kept.  Points must be finite; the result is sorted.
 
-    The distinct points are swept once in descending lexicographic order,
-    where an earlier point >= a later one everywhere dominates it, so no
-    query needs a tie rule.  Up to three dimensions a staircase answers
-    each query in O(log n); above, each point is compared with the front.
+    The distinct points are taken in descending lexicographic order, where a
+    point is dominated iff some earlier point is >= it on every coordinate
+    after the first, so no query needs a tie rule; ``_dominated`` answers it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -423,52 +422,53 @@ def pareto_filter(points) -> list[int]:
     if not np.isfinite(pts).all():
         raise ValueError("points contain non-finite entries")
     distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
-    descending = distinct[::-1]
-    n, d = descending.shape
-    if d <= 3:
-        kept = _filter_staircase3(np.hstack([descending, np.zeros((n, 3 - d))]))
-    else:
-        kept = _filter_scan(descending)
-    keep = np.zeros(n, dtype=bool)
-    keep[kept] = True
+    n, d = distinct.shape
+    rest = np.hstack([distinct[::-1, 1:], np.zeros((n, max(0, 3 - d)))])
+    every = np.ones(n, dtype=bool)
+    keep = ~_dominated(rest, every, every)
     return np.flatnonzero(keep[::-1][inverse.reshape(-1)]).tolist()
 
 
-def _filter_scan(pts: np.ndarray) -> list[int]:
-    """Kept positions of distinct, descending points: one pass against the front."""
-    front = np.empty_like(pts)
-    kept = []
-    for i, y in enumerate(pts):
-        if (front[: len(kept)] >= y).all(axis=1).any():
-            continue
-        front[len(kept)] = y
-        kept.append(i)
-    return kept
+def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask of the ``dst`` rows that some earlier ``src`` row is >= on every column.
 
-
-def _filter_staircase3(pts: np.ndarray) -> list[int]:
-    """Kept positions of distinct, descending 3-D points: a (y, z) staircase sweep.
-
-    Every processed point has coordinate 0 >= the candidate's, so the
-    candidate is dominated iff some kept point is also >= it on
-    coordinates 1 and 2; the staircase (ys nondecreasing, zs
-    nonincreasing) answers max{z : y >= q} by bisection.
+    On two columns a staircase of the ``src`` rows so far (ys nondecreasing,
+    zs nonincreasing) answers max{z : y >= q} by bisection.  On more, as in
+    Bentley's divide and conquer, each half of the rows is answered; then the
+    left ``src`` and live right ``dst`` rows, sorted by column 0 descending with
+    left first on ties, ask the same question on the columns after it.
     """
-    ys: list[float] = []
-    zs: list[float] = []
-    kept = []
-    for i, (y, z) in enumerate(zip(pts[:, 1].tolist(), pts[:, 2].tolist())):
-        pos = bisect.bisect_left(ys, y)
-        if pos < len(ys) and zs[pos] >= z:
-            continue
-        kept.append(i)
-        # Drop prefix entries the new pair dominates in 2-D.
-        j = pos
-        while j > 0 and zs[j - 1] <= z:
-            j -= 1
-        ys[j:pos] = [y]
-        zs[j:pos] = [z]
-    return kept
+    n, m = pts.shape
+    if m == 2:
+        ys: list[float] = []
+        zs: list[float] = []
+        out = dst.copy()
+        for i, y, z, s in zip(range(n), pts[:, 0].tolist(), pts[:, 1].tolist(), src.tolist()):
+            pos = bisect.bisect_left(ys, y)
+            if pos < len(ys) and zs[pos] >= z:
+                continue
+            out[i] = False
+            if s:
+                # Drop prefix entries the new pair dominates in 2-D.
+                j = pos
+                while j > 0 and zs[j - 1] <= z:
+                    j -= 1
+                ys[j:pos] = [y]
+                zs[j:pos] = [z]
+        return out
+    out = np.zeros(n, dtype=bool)
+    if n < 2:
+        return out
+    h = n // 2
+    out[:h] = _dominated(pts[:h], src[:h], dst[:h])
+    out[h:] = _dominated(pts[h:], src[h:], dst[h:])
+    left = src[:h].nonzero()[0]
+    right = h + (dst[h:] & ~out[h:]).nonzero()[0]
+    if left.size and right.size:
+        rows = np.concatenate([left, right])
+        rows = rows[(-pts[rows, 0]).argsort(kind="stable")]
+        out[rows] |= _dominated(pts[rows, 1:], rows < h, rows >= h)
+    return out
 
 
 def pareto_filter_bruteforce(points) -> list[int]:

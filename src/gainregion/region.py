@@ -134,11 +134,13 @@ def check_simplex_weight(lam) -> np.ndarray:
 
 def check_direction(e) -> np.ndarray:
     """Validate a +-1 direction vector that is not all -1."""
-    d = np.asarray(e, dtype=int)
+    d = np.asarray(e)
     if d.ndim != 1 or d.size == 0:
         raise ValueError(f"expected a 1-D direction vector, got shape {d.shape}")
+    # Compare before the integer cast, which would truncate 1.5 to 1.
     if not np.all(np.isin(d, (-1, 1))):
         raise ValueError(f"direction entries must be +-1, got {d}")
+    d = d.astype(int)
     if np.all(d == -1):
         raise ValueError("direction vector of all -1 is infeasible")
     return d

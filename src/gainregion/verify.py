@@ -27,6 +27,12 @@ class Check:
     ok: bool
     detail: str = ""
 
+    def __post_init__(self):
+        # Suites compute with numpy; the record holds plain Python scalars.
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "ok", bool(self.ok))
+
 
 def _random_channels(rng: np.random.Generator, n: int, k: int) -> list[np.ndarray]:
     return [
@@ -246,7 +252,8 @@ def suite_null_shaping(seed: int = 0, trials: int = 200) -> list[Check]:
 
 def suite_pareto_oracle(seed: int = 0, trials: int = 1000) -> list[Check]:
     """Fast nondominated filter agrees with the pairwise reference scan on a
-    3-D cloud (staircase path) and a 4-D cloud (scan path)."""
+    3-D cloud (one staircase sweep) and a 4-D cloud (staircase sweeps under
+    the divide and conquer)."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     agree = True

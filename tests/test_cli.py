@@ -16,7 +16,7 @@ from gainregion.pareto import (
     sweep_utility_region,
 )
 from gainregion.region import PowerClass, strategy_gains, sweep_boundary
-from gainregion.verify import suite_names
+from gainregion.verify import run_suite, suite_names
 
 from conftest import oracle_sweep
 
@@ -240,6 +240,21 @@ def test_verify_known_suites(capsys):
 def test_verify_two_user_suite(capsys):
     assert run("verify", "--suite", "two-user", "--seed", "3", "--trials", "20") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+# Every suite but `hyperplane`, which takes about 10 s at its defaults.
+@pytest.mark.parametrize(
+    "suite", ["convexity", "full-power", "null-shaping", "pareto-oracle", "power-rule", "two-user"]
+)
+def test_verify_suite_passes_at_its_defaults(suite, capsys):
+    assert run("verify", "--suite", suite) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_checks_hold_python_scalars():
+    for c in run_suite("all", trials=5):
+        assert type(c.ok) is bool, c.name
+        assert type(c.value) is float and type(c.tol) is float, c.name
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

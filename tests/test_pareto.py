@@ -386,7 +386,7 @@ def test_pareto_filter_rejects_non_finite():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 5).flatmap(
+    st.integers(1, 6).flatmap(
         lambda d: hnp.arrays(
             np.float64,
             st.tuples(st.integers(1, 60), st.just(d)),
@@ -396,7 +396,16 @@ def test_pareto_filter_rejects_non_finite():
 )
 def test_pareto_filter_matches_bruteforce_on_dense_ties(pts):
     # Values in 0..3 (with both signed zeros) make exact duplicates and
-    # shared coordinates common on every path: d <= 3 and the d > 3 scan.
+    # shared coordinates common, for the lone staircase sweep (d <= 3) and
+    # for the merges of the divide and conquer (d > 3).
+    assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_pareto_filter_matches_bruteforce_on_a_tied_cloud_of_many_halves(d):
+    # 300 rows in 0..3: ties cross the halves at several recursion levels,
+    # and each merge's sort must put the left row first on a tie.
+    pts = np.random.default_rng(d).integers(0, 4, size=(300, d)).astype(float)
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
 
 

@@ -116,6 +116,17 @@ def test_weights_must_be_finite(rng):
         boundary_strategy(channels, nan, e)
 
 
+@pytest.mark.parametrize("e", [[1.5, -1.9, -1], [1, 0.5, -1], [1, 1.0000001]])
+def test_check_direction_refuses_entries_other_than_plus_or_minus_one(e):
+    with pytest.raises(ValueError, match=r"entries must be \+-1"):
+        region.check_direction(e)
+
+
+def test_check_direction_accepts_integral_floats():
+    d = region.check_direction([1.0, -1.0, 1.0])
+    assert d.dtype.kind == "i" and d.tolist() == [1, -1, 1]
+
+
 # ----------------------------------------------------- boundary strategy
 
 
