@@ -39,8 +39,8 @@ HERMITIAN_RTOL = 1e-12
 # Fraction of the largest eigenvalue magnitude within which eigenvalues
 # count as tied, or as zero (see eig_tolerance).
 EIG_RTOL = 1e-9
-# Smallest/largest singular value ratio below which a column set is
-# treated as rank deficient.
+# Bound on a Gram-Schmidt residual, relative to the largest column, at or
+# below which a column counts as dependent on the ones before it.
 RANK_RTOL = 1e-12
 
 _PHASE_RTOL = 1e-12
@@ -152,11 +152,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original matrix (or stack) from the factors."""
-        v = self.vectors
-        return (v * self.values[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def eig_hermitian(z) -> EigenSystem:
@@ -272,22 +267,24 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
     return EigenSystem(values=es.values, vectors=vectors)
 
 
-def _independent_prefix(a: np.ndarray) -> list[int]:
-    """Indices of columns that a greedy Gram-Schmidt pass rejects, below a
-    floor relative to the largest column (so independent of units)."""
+def _dependent_columns(a: np.ndarray) -> list[int]:
+    """Indices of the columns that a greedy Gram-Schmidt pass rejects: those
+    whose residual against the accepted ones is at most RANK_RTOL times the
+    largest column norm (so independent of units), and any column after
+    the accepted ones fill the space.  This is the library's one rank test."""
     dim = a.shape[0]
-    floor = max(RANK_RTOL, 1e-10) * np.linalg.norm(a, axis=0).max()
+    floor = RANK_RTOL * np.linalg.norm(a, axis=0).max()
     basis: list[np.ndarray] = []
-    offending = []
+    dependent = []
     for j in range(a.shape[1]):
         v = a[:, j].copy()
         for b in basis:
             v -= b * (b.conj() @ v)
         if np.linalg.norm(v) <= floor or len(basis) == dim:
-            offending.append(j)
+            dependent.append(j)
         else:
             basis.append(v / np.linalg.norm(v))
-    return offending
+    return dependent
 
 
 def _stack_columns(columns, dim: int | None) -> np.ndarray:
@@ -304,11 +301,16 @@ def _stack_columns(columns, dim: int | None) -> np.ndarray:
 
 def projector_onto(columns, dim: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the column space of the given vectors, zero
-    for none; rank-deficient sets are rejected, naming the offending columns."""
+    for none; a set that _dependent_columns finds rank deficient is
+    rejected, naming the dependent columns."""
     a = _stack_columns(columns, dim)
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
-    _require_full_rank(a)
+    dependent = _dependent_columns(a)
+    if dependent:
+        raise ValueError(
+            f"columns are numerically rank deficient; dependent columns: {dependent}"
+        )
     q, _ = np.linalg.qr(a, mode="reduced")
     return q @ q.conj().T
 
@@ -318,13 +320,4 @@ def projector_complement(columns, dim: int | None = None) -> np.ndarray:
     complement of the columns; an empty column set yields the identity."""
     p = projector_onto(columns, dim)
     return np.eye(p.shape[0], dtype=np.complex128) - p
-
-
-def _require_full_rank(a: np.ndarray) -> None:
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        offending = _independent_prefix(a)
-        raise ValueError(
-            f"columns are numerically rank deficient; dependent columns: {offending}"
-        )
 

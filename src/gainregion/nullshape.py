@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cvec, eig_tolerance
+from .linalg import RANK_RTOL, as_cvec, eig_tolerance
 from .region import (
     boundary_eigensystem,
     boundary_strategy,
@@ -56,9 +56,21 @@ class NullConstraintSet:
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
 
-    @property
-    def n_constraints(self) -> int:
-        return self.columns.shape[1]
+
+def _ranges(vecs, lam: np.ndarray, e: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Half-open 0-based low and high constraint ranges: the first
+    |unintended| positions and N - |intended| .. N - 2; refuses N < K."""
+    if not (len(vecs) == lam.size == e.size):
+        raise ValueError(
+            f"length mismatch: {len(vecs)} channels, {lam.size} weights, {e.size} directions"
+        )
+    n = vecs[0].size
+    k = len(vecs)
+    if n < k:
+        raise ValueError(f"null shaping needs n_antennas >= receivers, got {n} < {k}")
+    n_in = int(np.sum(e == 1))
+    # n >= k, so the ranges cannot overlap: n - n_in >= k - n_in.
+    return (0, k - n_in), (n - n_in, n - 1)
 
 
 def null_constraints(channels, lam, e) -> NullConstraintSet:
@@ -76,19 +88,7 @@ def null_constraints(channels, lam, e) -> NullConstraintSet:
     vecs = [as_cvec(h) for h in channels]
     lam = check_simplex_weight(lam)
     e = check_direction(e)
-    if not (len(vecs) == lam.size == e.size):
-        raise ValueError(
-            f"length mismatch: {len(vecs)} channels, {lam.size} weights, {e.size} directions"
-        )
-    n = vecs[0].size
-    k = len(vecs)
-    if n < k:
-        raise ValueError(f"null shaping needs n_antennas >= receivers, got {n} < {k}")
-    n_in = int(np.sum(e == 1))
-    n_un = k - n_in
-    # n >= k, so the ranges cannot overlap: n - n_in >= k - n_in = n_un.
-    low = (0, n_un)
-    high = (n - n_in, n - 1)
+    low, high = _ranges(vecs, lam, e)
     es = boundary_eigensystem(vecs, lam, e)
     cols = np.hstack([es.vectors[:, low[0] : low[1]], es.vectors[:, high[0] : high[1]]])
     return NullConstraintSet(columns=cols, low_range=low, high_range=high)
@@ -109,7 +109,7 @@ def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
     # Eigenvector columns are orthonormal, so the projector is I - C C^H.
     d = h - cols @ (cols.conj().T @ h)
     norm = np.linalg.norm(d)
-    if norm <= 1e-12 * np.linalg.norm(h):
+    if norm <= RANK_RTOL * np.linalg.norm(h):
         raise ValueError("projected intended channel is numerically zero")
     return d / norm
 
@@ -146,7 +146,8 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     """Diagnostics of the eigenvalue sign pattern of the combination.
 
     Reads the eigensystem that null_constraints and boundary_strategy use
-    (``region.boundary_eigensystem``).  Returns a dict of four floats:
+    (``region.boundary_eigensystem``) at the same index ranges, and refuses
+    N < K as null_constraints does.  Returns a dict of four floats:
     ``tau`` = linalg.eig_tolerance of the eigenvalues; ``low_max``, the
     largest of the low block (must be <= tau; -inf if empty);
     ``middle_absmax``, the largest magnitude in the middle block (must be
@@ -156,16 +157,13 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     vecs = [as_cvec(h) for h in channels]
     lam = check_simplex_weight(lam)
     e = check_direction(e)
-    n = vecs[0].size
-    k = len(vecs)
-    n_in = int(np.sum(e == 1))
-    n_un = k - n_in
+    (_, mid_lo), (mid_hi, _) = _ranges(vecs, lam, e)
     es = boundary_eigensystem(vecs, lam, e)
     tau = eig_tolerance(es.values)
-    low = es.values[:n_un]
-    middle = es.values[n_un : n - n_in]
+    low = es.values[:mid_lo]
+    middle = es.values[mid_lo:mid_hi]
     annihilation = 0.0
-    for i in range(n_un, n - n_in):
+    for i in range(mid_lo, mid_hi):
         v = es.vectors[:, i]
         for weight, h in zip(lam, vecs):
             if weight > 0.0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_cvec, projector_complement, projector_onto, unit
+from .linalg import RANK_RTOL, as_cvec, projector_complement, projector_onto, unit
 from .network import Scenario, direction_vector
 from .region import (
     PowerClass,
@@ -63,7 +63,6 @@ __all__ = [
     "sweep_utility_region",
     "pareto_filter",
     "pareto_filter_bruteforce",
-    "mrt_beamformer",
     "zf_beamformer",
     "two_user_combination",
     "two_user_boundary_vector",
@@ -491,17 +490,12 @@ def pareto_filter_bruteforce(points) -> list[int]:
     return keep
 
 
-def mrt_beamformer(h_own) -> np.ndarray:
-    """Maximum ratio transmission: beamform along the intended channel."""
-    return unit(h_own)
-
-
 def zf_beamformer(h_own, h_cross) -> np.ndarray:
     """Zero forcing: project the intended channel off the cross channel."""
     own = as_cvec(h_own)
     proj = projector_complement([as_cvec(h_cross)])
     d = proj @ own
-    if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(own):
+    if np.linalg.norm(d) <= RANK_RTOL * np.linalg.norm(own):
         raise ValueError("channels are collinear; the zero-forcing direction vanishes")
     return d / np.linalg.norm(d)
 
@@ -509,12 +503,12 @@ def zf_beamformer(h_own, h_cross) -> np.ndarray:
 def two_user_combination(lam_hat: float, h_own, h_cross) -> np.ndarray:
     """Unit combination of MRT and ZF for the two-user interference channel.
 
-    lam_hat = 1 gives MRT, lam_hat = 0 gives ZF; intermediate values trace
-    the efficient boundary.
+    lam_hat = 1 gives MRT (the unit intended channel), lam_hat = 0 gives
+    ZF; intermediate values trace the efficient boundary.
     """
     if not 0.0 <= lam_hat <= 1.0:
         raise ValueError(f"lam_hat must be in [0, 1], got {lam_hat}")
-    w = lam_hat * mrt_beamformer(h_own) + (1.0 - lam_hat) * zf_beamformer(h_own, h_cross)
+    w = lam_hat * unit(h_own) + (1.0 - lam_hat) * zf_beamformer(h_own, h_cross)
     return w / np.linalg.norm(w)
 
 

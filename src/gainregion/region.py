@@ -2,8 +2,8 @@
 
 Covers received power gains, the boundary beamformer parametrization over
 simplex weights, the full/free/zero power rule, simplex-grid boundary
-sweeps, dominance in a +-1 direction, and the constructive oracles
-(segment covariances, full-power completion, random feasible covariances).
+sweeps and the constructive oracles (segment covariances, full-power
+completion, random feasible covariances).
 
 ``boundary_strategy`` is the scalar oracle: one weight vector in, one
 ``BoundaryStrategy`` out.  The grid paths return columns instead, one array
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    RANK_RTOL,
     EigenSystem,
     as_cvec,
     eig_hermitian,
@@ -58,7 +59,6 @@ __all__ = [
     "boundary_table",
     "needs_power_control",
     "sweep_boundary",
-    "dominates",
     "segment_covariance",
     "full_power_completion",
     "random_feasible_covariance",
@@ -231,11 +231,10 @@ class BoundaryStrategy:
     direction: np.ndarray
     power: float
     lam: np.ndarray
-    e: np.ndarray
     power_class: PowerClass
 
     def __post_init__(self):
-        for name in ("direction", "lam", "e"):
+        for name in ("direction", "lam"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -263,7 +262,7 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     cls = _power_class(es.values)
     power = class_power(cls, 1.0 if p_free is None else float(p_free))
     return BoundaryStrategy(
-        direction=es.vectors[:, -1].copy(), power=power, lam=lam, e=e, power_class=cls
+        direction=es.vectors[:, -1].copy(), power=power, lam=lam, power_class=cls
     )
 
 
@@ -363,24 +362,6 @@ def sweep_boundary(
     return grid[rows], power, classes[rows], power[:, None] * unit[rows]
 
 
-def dominates(x, y, e) -> bool:
-    """Whether x dominates y in direction e (componentwise, one strict).
-
-    The comparison is exact; callers wanting a tolerance should round the
-    gains beforehand.
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    ev = check_direction(e)
-    if not (xv.size == yv.size == ev.size):
-        raise ValueError(
-            f"length mismatch: x has {xv.size}, y has {yv.size}, e has {ev.size}"
-        )
-    dx = xv * ev
-    dy = yv * ev
-    return bool(np.all(dx >= dy) and np.any(dx > dy))
-
-
 def segment_covariance(qx, qy, t: float) -> np.ndarray:
     """Convex combination t Qx + (1 - t) Qy of two feasible covariances.
 
@@ -421,7 +402,7 @@ def full_power_completion(p, channels, target: int) -> np.ndarray:
     proj = projector_complement(others, dim=n)
     d = proj @ vecs[target]
     nd2 = float(np.real(np.vdot(d, d)))
-    if nd2 <= (1e-12 * np.linalg.norm(vecs[target])) ** 2:
+    if nd2 <= (RANK_RTOL * np.linalg.norm(vecs[target])) ** 2:
         raise ValueError("projected target channel is numerically zero")
     return q + (1.0 - trace) * np.outer(d, d.conj()) / nd2
 

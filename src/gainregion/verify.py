@@ -34,6 +34,11 @@ class Check:
         object.__setattr__(self, "ok", bool(self.ok))
 
 
+def _at_most(name: str, value, tol: float, detail: str = "") -> Check:
+    """A check that passes when value <= tol."""
+    return Check(name, value, tol, value <= tol, detail)
+
+
 def _random_channels(rng: np.random.Generator, n: int, k: int) -> list[np.ndarray]:
     return [
         (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
@@ -56,8 +61,8 @@ def suite_convexity(seed: int = 0, trials: int = 1000) -> list[Check]:
             worst = max(worst, abs(region.power_gain(qz, h) - mix))
         worst_trace = max(worst_trace, float(np.trace(qz).real) - 1.0)
     return [
-        Check("segment gains equal convex combination", worst, 1e-12, worst <= 1e-12),
-        Check("segment trace stays feasible", worst_trace, 1e-12, worst_trace <= 1e-12),
+        _at_most("segment gains equal convex combination", worst, 1e-12),
+        _at_most("segment trace stays feasible", worst_trace, 1e-12),
     ]
 
 
@@ -71,7 +76,7 @@ def suite_hyperplane(seed: int = 0, trials: int = 100_000) -> list[Check]:
     weights = grid * e  # (G, 3)
     bounds = np.array([region.hyperplane_bound(channels, lam, e) for lam in grid])
     box = np.array([float(np.real(np.vdot(h, h))) for h in channels])
-    block = 20_000
+    block = 2_000  # each block's (block, G) objective is about 21 MB
     worst_violation = -np.inf
     box_excess = -np.inf
     hvecs = np.column_stack(channels)  # (3, 3), column l = channel l
@@ -95,9 +100,9 @@ def suite_hyperplane(seed: int = 0, trials: int = 100_000) -> list[Check]:
         value = region.weighted_objective(g, lam, e)
         worst_attain = max(worst_attain, abs(value - bound))
     return [
-        Check("hyperplane bound violations", worst_violation, 1e-9, worst_violation <= 1e-9),
-        Check("full-class strategies attain the bound", worst_attain, 1e-9, worst_attain <= 1e-9),
-        Check("gains stay in the MRT box", box_excess, 1e-9, box_excess <= 1e-9),
+        _at_most("hyperplane bound violations", worst_violation, 1e-9),
+        _at_most("full-class strategies attain the bound", worst_attain, 1e-9),
+        _at_most("gains stay in the MRT box", box_excess, 1e-9),
     ]
 
 
@@ -121,8 +126,8 @@ def suite_full_power(seed: int = 0, trials: int = 500) -> list[Check]:
                 else:
                     worst_off = max(worst_off, abs(delta))
     return [
-        Check("completed trace equals 1", worst_trace, 1e-12, worst_trace <= 1e-12),
-        Check("off-target gains unchanged", worst_off, 1e-10, worst_off <= 1e-10),
+        _at_most("completed trace equals 1", worst_trace, 1e-12),
+        _at_most("off-target gains unchanged", worst_off, 1e-10),
         Check(
             "target gain strictly larger",
             min_gain_up,
@@ -167,19 +172,9 @@ def suite_power_rule(seed: int = 0, trials: int = 500) -> list[Check]:
         if cls is region.PowerClass.FREE:
             worst_free_spread = max(worst_free_spread, abs(mu_max))
     return [
-        Check("classification matches eigenvalue sign", mismatches, 0, mismatches == 0),
-        Check(
-            "chosen power maximizes the objective",
-            worst_suboptimality,
-            1e-9,
-            worst_suboptimality <= 1e-9,
-        ),
-        Check(
-            "free-class endpoints agree",
-            worst_free_spread,
-            1e-8,
-            worst_free_spread <= 1e-8,
-        ),
+        _at_most("classification matches eigenvalue sign", mismatches, 0),
+        _at_most("chosen power maximizes the objective", worst_suboptimality, 1e-9),
+        _at_most("free-class endpoints agree", worst_free_spread, 1e-8),
     ]
 
 
@@ -200,7 +195,7 @@ def suite_two_user(seed: int = 0, trials: int = 100) -> list[Check]:
             _, alignment = pareto.alignment_search(w, own, cross)
             worst_alignment = min(worst_alignment, alignment)
     return [
-        Check("projector identity residual", worst_resid, 1e-9, worst_resid <= 1e-9),
+        _at_most("projector identity residual", worst_resid, 1e-9),
         Check(
             "combination aligns with a boundary eigenvector",
             1.0 - worst_alignment,
@@ -234,18 +229,10 @@ def suite_null_shaping(seed: int = 0, trials: int = 200) -> list[Check]:
         )
         worst_annihilation = max(worst_annihilation, diag["annihilation"])
     return [
-        Check("projected MRT gain mismatch", worst_gain, 1e-8, worst_gain <= 1e-8),
-        Check(
-            "eigenvalue sign structure (relative to tau)",
-            worst_structure,
-            1.0,
-            worst_structure <= 1.0,
-        ),
-        Check(
-            "middle eigenvectors annihilate weighted channels",
-            worst_annihilation,
-            1e-9,
-            worst_annihilation <= 1e-9,
+        _at_most("projected MRT gain mismatch", worst_gain, 1e-8),
+        _at_most("eigenvalue sign structure (relative to tau)", worst_structure, 1.0),
+        _at_most(
+            "middle eigenvectors annihilate weighted channels", worst_annihilation, 1e-9
         ),
     ]
 

@@ -251,6 +251,12 @@ def test_verify_suite_passes_at_its_defaults(suite, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_verify_hyperplane_passes_over_several_blocks():
+    # 4,001 trials span three blocks of covariance draws, the last partial.
+    checks = run_suite("hyperplane", trials=4_001)
+    assert [c.name for c in checks if not c.ok] == []
+
+
 def test_verify_checks_hold_python_scalars():
     for c in run_suite("all", trials=5):
         assert type(c.ok) is bool, c.name

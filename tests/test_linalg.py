@@ -17,6 +17,12 @@ from gainregion.linalg import (
 from conftest import random_channels
 
 
+def _rebuild(es):
+    """The matrix (or stack) V diag(values) V^H of an eigensystem."""
+    v = es.vectors
+    return (v * es.values[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def test_outer_product_basis_vector():
     assert np.allclose(outer_product([1, 0]), [[1, 0], [0, 0]])
 
@@ -91,7 +97,7 @@ def test_eig_hermitian_reconstruction(rng):
         z = (g + g.conj().T) / 2
         es = eig_hermitian(z)
         scale = 1.0 + np.abs(z).max()
-        assert np.abs(es.reconstruct() - z).max() <= 1e-10 * scale
+        assert np.abs(_rebuild(es) - z).max() <= 1e-10 * scale
         assert np.all(np.diff(es.values) >= 0)
         gram = es.vectors.conj().T @ es.vectors
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
@@ -177,7 +183,7 @@ def test_eig_hermitian_stack_matches_single_matrices(rng):
         one = eig_hermitian(z)
         assert np.array_equal(es.values[i // 20, i % 20], one.values)
         assert np.array_equal(es.vectors[i // 20, i % 20], one.vectors)
-    assert np.allclose(es.reconstruct(), stack, rtol=0, atol=1e-9 * np.abs(stack).max())
+    assert np.allclose(_rebuild(es), stack, rtol=0, atol=1e-9 * np.abs(stack).max())
 
 
 def test_eig_hermitian_rejects_empty():
@@ -206,7 +212,7 @@ def test_split_ties_orders_block_by_perturbation(rng):
     limit = split_ties(es, tied_blocks(es.values), d, [q[:, 0]])
     assert abs(np.vdot(limit.vectors[:, 1], q[:, 0])) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(limit.vectors[:, 2], q[:, 1])) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(limit.reconstruct() - z).max() <= 1e-12
+    assert np.abs(_rebuild(limit) - z).max() <= 1e-12
 
 
 def test_split_ties_falls_back_to_span_rule(rng):
@@ -266,6 +272,23 @@ def test_projector_complement_names_columns_at_any_scale():
     for c in (1e-11, 1.0, 1e11):
         with pytest.raises(ValueError, match=r"dependent columns: \[2\]"):
             projector_complement([c * e1, c * e2, c * (e1 + e2)])
+
+
+def test_projector_complement_rejects_more_columns_than_dimensions():
+    e1, e2, e3 = np.eye(3)
+    with pytest.raises(ValueError, match=r"dependent columns: \[3\]"):
+        projector_complement([e1, e2, e3, e1 + e2])
+
+
+def test_projector_onto_accepts_the_kahan_matrix():
+    # K = diag(s^i) (I - c U): its smallest singular value is far below
+    # 1e-12 of the largest, but every Gram-Schmidt residual is s^i >= s^29,
+    # about 5e-10, so the columns are independent under the one rank rule.
+    n, theta = 30, 0.5
+    s, c = np.sin(theta), np.cos(theta)
+    k = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    p = projector_onto([k[:, j] for j in range(n)])
+    assert np.abs(p - np.eye(n)).max() <= 1e-10
 
 
 def test_projector_onto_vs_complement(rng):

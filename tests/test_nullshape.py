@@ -21,7 +21,7 @@ def test_constraint_indices_miso_ic_three_user(rng):
     # constraints are the two smallest-eigenvalue eigenvectors.
     channels = random_channels(rng, 3, 3)
     cs = null_constraints(channels, [0.2, 0.5, 0.3], E3)
-    assert cs.n_constraints == 2
+    assert cs.columns.shape[1] == 2
     assert cs.low_range == (0, 2)
     assert cs.high_range == (2, 2)  # empty: 3..2 in 1-based terms
     es = eig_hermitian(weighted_combination(channels, [0.2, 0.5, 0.3], E3))
@@ -32,7 +32,7 @@ def test_constraint_indices_multicast_transmitter(rng):
     # Two intended receivers: one low constraint plus one high constraint.
     channels = random_channels(rng, 3, 3)
     cs = null_constraints(channels, [0.3, 0.4, 0.3], np.array([-1, 1, 1]))
-    assert cs.n_constraints == 2
+    assert cs.columns.shape[1] == 2
     assert cs.low_range == (0, 1)
     assert cs.high_range == (1, 2)
 
@@ -40,7 +40,7 @@ def test_constraint_indices_multicast_transmitter(rng):
 def test_constraint_set_empty_for_single_receiver(rng):
     h = random_channels(rng, 2, 1)
     cs = null_constraints(h, [1.0], [1])
-    assert cs.n_constraints == 0
+    assert cs.columns.shape[1] == 0
     w = projected_mrt(cs, h[0])
     assert np.array_equal(w, unit(h[0]))
 
@@ -49,7 +49,7 @@ def test_constraint_columns_orthonormal(rng):
     channels = random_channels(rng, 4, 3)
     cs = null_constraints(channels, [0.5, 0.25, 0.25], E3)
     gram = cs.columns.conj().T @ cs.columns
-    assert np.abs(gram - np.eye(cs.n_constraints)).max() <= 1e-10
+    assert np.abs(gram - np.eye(2)).max() <= 1e-10
 
 
 def test_rejects_narrow_transmitter(rng):
@@ -122,6 +122,14 @@ def test_eigenvalue_sign_structure(rng):
         assert diag["low_max"] <= diag["tau"]
         assert diag["middle_absmax"] <= diag["tau"]
         assert diag["annihilation"] <= 1e-9
+
+
+def test_eigenvalue_structure_rejects_narrow_transmitter():
+    # Two antennas, three receivers: the constraint ranges need N >= K, so
+    # the diagnostics refuse, as null_constraints does.
+    channels = random_channels(np.random.default_rng(1), 2, 3)
+    with pytest.raises(ValueError, match="n_antennas >= receivers"):
+        eigenvalue_structure(channels, [0.2, 0.3, 0.5], E3)
 
 
 def test_completeness_identity(rng):

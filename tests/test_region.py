@@ -21,7 +21,6 @@ from gainregion.region import (
     boundary_table,
     check_simplex_weight,
     class_power,
-    dominates,
     full_power_completion,
     hyperplane_bound,
     needs_power_control,
@@ -475,21 +474,6 @@ def test_class_power_is_the_one_power_rule():
         class_power(classes, 1.5)
 
 
-# ------------------------------------------------------------- dominance
-
-
-def test_dominates_examples():
-    e = [1, -1]
-    assert dominates([2, 0], [1, 1], e)
-    assert not dominates([1, 1], [1, 1], e)
-    assert not dominates([2, 2], [1, 1], e)
-
-
-def test_dominates_length_mismatch():
-    with pytest.raises(ValueError):
-        dominates([1, 2], [1], [1, -1])
-
-
 # ------------------------------------------------- segment covariance
 
 
@@ -575,7 +559,9 @@ def test_full_power_completion_dominates_in_positive_directions(rng):
     for bits in range(1, 8):
         e = [1 if bits & (1 << j) else -1 for j in range(3)]
         if e[target] == 1:
-            assert dominates(after, before, e)
+            # after dominates before in direction e: >= everywhere, > once
+            gain = (after - before) * e
+            assert np.all(gain >= 0) and np.any(gain > 0)
 
 
 # ------------------------------------------- random covariance sampler
