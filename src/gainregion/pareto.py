@@ -21,6 +21,12 @@ on free rows), times its group split, form one small array per
 per-weight strategy object is built.  The utilities are then evaluated one
 slab of the first axis at a time; ``utilities_at`` is the scalar oracle
 for any row.
+
+The nondominated filter is Bentley's divide and conquer over the
+distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
+pairs of rows at once, one broadcast per column; a larger one on two
+columns is a staircase sweep.  ``pareto_filter_bruteforce`` is its pairwise
+oracle.
 """
 
 from __future__ import annotations
@@ -413,13 +419,11 @@ def pareto_filter(points) -> list[int]:
 
     The distinct points are taken in descending lexicographic order, where a
     point is dominated iff some earlier point is >= it on every coordinate
-    after the first, so no query needs a tie rule; ``_dominated`` answers it.
+    after the first, so no query needs a tie rule; ``_dominated`` answers it,
+    comparing all pairs at once in every sub-problem of at most ``_LEAF``
+    rows.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"expected a nonempty 2-D point list, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain non-finite entries")
+    pts = _check_points(points)
     distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
     n, d = distinct.shape
     rest = np.hstack([distinct[::-1, 1:], np.zeros((n, max(0, 3 - d)))])
@@ -428,16 +432,42 @@ def pareto_filter(points) -> list[int]:
     return np.flatnonzero(keep[::-1][inverse.reshape(-1)]).tolist()
 
 
+def _check_points(points) -> np.ndarray:
+    """The points as a nonempty 2-D float array of finite entries."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError(f"expected a nonempty 2-D point list, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain non-finite entries")
+    return pts
+
+
+# Sub-problems of at most this many rows compare all pairs of rows at once:
+# below it, a split or a staircase costs more in per-call set-up than the
+# n * n * m comparisons it saves.
+_LEAF = 48
+# _EARLIER[j, i] is true when j < i.
+_EARLIER = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+
+
 def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Mask of the ``dst`` rows that some earlier ``src`` row is >= on every column.
 
-    On two columns a staircase of the ``src`` rows so far (ys nondecreasing,
+    At most ``_LEAF`` rows are compared pairwise at once.  Above it,
+    on two columns a staircase of the ``src`` rows so far (ys nondecreasing,
     zs nonincreasing) answers max{z : y >= q} by bisection.  On more, as in
     Bentley's divide and conquer, each half of the rows is answered; then the
     left ``src`` and live right ``dst`` rows, sorted by column 0 descending with
     left first on ties, ask the same question on the columns after it.
     """
     n, m = pts.shape
+    if n <= _LEAF:
+        # before[j, i]: row j is an earlier src row >= row i on every column.
+        # One column at a time is 2-5x faster than .all(axis=2) on (n, n, m).
+        before = _EARLIER[:n, :n] & src[:, None]
+        for col in pts.T:
+            before &= col[:, None] >= col
+        return dst & before.any(axis=0)
     if m == 2:
         ys: list[float] = []
         zs: list[float] = []
@@ -456,8 +486,6 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
                 zs[j:pos] = [z]
         return out
     out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out
     h = n // 2
     out[:h] = _dominated(pts[:h], src[:h], dst[:h])
     out[h:] = _dominated(pts[h:], src[h:], dst[h:])
@@ -472,9 +500,7 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def pareto_filter_bruteforce(points) -> list[int]:
     """O(n^2) pairwise reference filter; the correctness oracle."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"expected a nonempty 2-D point list, got shape {pts.shape}")
+    pts = _check_points(points)
     n = pts.shape[0]
     keep = []
     for i in range(n):

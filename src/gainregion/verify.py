@@ -239,8 +239,9 @@ def suite_null_shaping(seed: int = 0, trials: int = 200) -> list[Check]:
 
 def suite_pareto_oracle(seed: int = 0, trials: int = 1000) -> list[Check]:
     """Fast nondominated filter agrees with the pairwise reference scan on a
-    3-D cloud (one staircase sweep) and a 4-D cloud (staircase sweeps under
-    the divide and conquer)."""
+    3-D cloud (one staircase sweep) and a 4-D cloud (the divide and conquer,
+    with broadcast leaves and staircase merges).  A cloud of at most
+    ``pareto._LEAF`` distinct points is one broadcast comparison."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     agree = True

@@ -373,15 +373,21 @@ def test_pareto_filter_invariant_under_monotone_transforms(rng):
 
 
 def test_pareto_filter_tie_columns(rng):
-    # Many shared coordinates stress the tie fallback.
+    # Coordinates rounded to 0.1 are shared by many rows, so the staircase
+    # sweep (500 rows, above the leaf size) meets ties in its bisection.
     pts = np.round(rng.uniform(0, 1, (500, 3)), 1)
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
 
 
 def test_pareto_filter_rejects_non_finite():
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            pareto_filter([[1.0, 2.0], [bad, 0.5], [0.5, 1.0]])
+    # The oracle takes the same input check as the fast filter.
+    for filt in (pareto_filter, pareto_filter_bruteforce):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                filt([[1.0, 2.0], [bad, 0.5], [0.5, 1.0]])
+        for shape_bad in ([], [1.0, 2.0]):
+            with pytest.raises(ValueError, match="2-D"):
+                filt(shape_bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,8 +402,8 @@ def test_pareto_filter_rejects_non_finite():
 )
 def test_pareto_filter_matches_bruteforce_on_dense_ties(pts):
     # Values in 0..3 (with both signed zeros) make exact duplicates and
-    # shared coordinates common, for the lone staircase sweep (d <= 3) and
-    # for the merges of the divide and conquer (d > 3).
+    # shared coordinates common.  At most 60 rows: most clouds are one leaf
+    # of the filter, the rest two leaves and a merge.
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
 
 
@@ -407,6 +413,64 @@ def test_pareto_filter_matches_bruteforce_on_a_tied_cloud_of_many_halves(d):
     # and each merge's sort must put the left row first on a tie.
     pts = np.random.default_rng(d).integers(0, 4, size=(300, d)).astype(float)
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
+
+
+def _dominated_reference(pts, src, dst):
+    # Row by row: some src row before it is >= on every column.
+    return np.array(
+        [dst[i] and bool((src[:i] & (pts[:i] >= pts[i]).all(axis=1)).any()) for i in range(len(pts))],
+        dtype=bool,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 47, 48, 49, 97, 200])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_dominated_matches_pairwise_reference_on_masked_rows(n, m):
+    # Values in 0..3 tie often; src and dst masks that are not all true are
+    # what each merge of the divide and conquer passes.  n runs across the
+    # leaf size (48): whole leaf, one split into two leaves, and deeper.
+    rng = np.random.default_rng(100 * n + m)
+    for _ in range(4):
+        pts = rng.integers(0, 4, size=(n, m)).astype(float)
+        src = rng.random(n) < 0.6
+        dst = rng.random(n) < 0.6
+        got = pareto._dominated(pts, src, dst)
+        np.testing.assert_array_equal(got, _dominated_reference(pts, src, dst))
+
+
+def _tied_cloud(n, d, seed):
+    # n distinct rows on a small integer grid (every coordinate tied with
+    # many others), plus three exact duplicates.
+    k = 2
+    while k**d < 2 * n:
+        k += 1
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(k**d, size=n, replace=False)
+    pts = np.stack(np.unravel_index(cells, (k,) * d), axis=1).astype(float)
+    return np.vstack([pts, pts[rng.integers(0, n, size=3)]])
+
+
+@pytest.mark.parametrize("n", [47, 48, 49, 97])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pareto_filter_matches_bruteforce_across_the_leaf_size(n, d):
+    pts = _tied_cloud(n, d, seed=10 * n + d)
+    assert len(np.unique(pts, axis=0)) == n
+    assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
+
+
+def test_pareto_filter_answers_small_subproblems_at_the_leaf(monkeypatch):
+    # Recursing down to single rows made 5,998 calls on this cloud; with
+    # sub-problems of at most pareto._LEAF rows answered at once it makes 190.
+    calls = []
+    inner = pareto._dominated
+
+    def counted(pts, src, dst):
+        calls.append(len(pts))
+        return inner(pts, src, dst)
+
+    monkeypatch.setattr(pareto, "_dominated", counted)
+    pareto_filter(np.random.default_rng(0).uniform(0.0, 1.0, size=(2000, 4)))
+    assert len(calls) <= 500
 
 
 # ----------------------------------------------------- two-user results
