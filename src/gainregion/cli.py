@@ -6,14 +6,19 @@ sweep with optional nondominated filtering) and ``verify`` (self-check
 suites).  All outputs are deterministic given the flags and seed.
 
 CSV writer contract: every decimal value is printed with 17 significant
-digits, and its bytes are those of ``format(x, ".17g")``.  Both sweeps hand
-the writer columns (``sweep_boundary``'s weights, powers, classes and
-gains; a ``UtilitySweep``'s parameter axes and utilities), never per-row
-objects.  Rows are written in blocks of ``_WRITE_BLOCK``: each block's
-column slices are stacked, turned into Python floats with one
-``tolist()``, formatted with one ``%``-template per row and written as one
-string, so the writer holds at most one block of rows in memory, never the
-whole table.
+digits, and its bytes are exactly those of ``format(x, ".17g")``.  Both
+sweeps hand the writer columns (``sweep_boundary``'s weights, powers,
+classes and gains; a ``UtilitySweep``'s parameter axes and utilities),
+never per-row objects.  Rows are written in blocks of ``_WRITE_BLOCK``,
+each formatted with one ``%``-template per row and written as one string,
+so the writer holds at most one block of rows in memory, never the whole
+table.  ``sweep-rates`` formats each row of each parameter axis once, as
+the ``%.17g`` fields of its columns joined by commas, and per block
+gathers those strings by the rows' axis indices; only the utilities are
+formatted per row.  ``sweep-gain`` stacks each block's column slices and
+formats every value per row, because a boundary table's weight rows are
+distinct (only a FREE row's power samples repeat one), so a table of
+strings would save nothing.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -163,15 +168,21 @@ def cmd_sweep_rates(args) -> int:
         "grid_points": len(sweep),
     }
 
-    template = _row_template(["%.17g"] * len(columns))
+    # An axis has few rows (45 per lambda axis of ic 3x3 at step 0.125),
+    # each repeated across the grid, so each is formatted once.
+    tables = [
+        np.array([",".join(["%.17g" % v for v in row]) for row in ax.values.tolist()], dtype=object)
+        for ax in sweep.axes
+    ]
+    template = _row_template(["%s"] * len(tables) + ["%.17g"] * len(sweep.utility_columns))
 
     def blocks():
         # keep stays a range or a list: an index array over the whole grid
         # would add to peak memory, so only each block's slice becomes one.
         for start in range(0, len(keep), _WRITE_BLOCK):
             idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
-            block = np.hstack([sweep.parameter_rows(idx), sweep.utilities[idx]])
-            yield map(tuple, block.tolist())
+            fields = [t[j].tolist() for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
+            yield zip(*fields, *sweep.utilities[idx].T.tolist())
 
     _write_point_cloud(args.out, meta, columns, template, blocks())
     print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")

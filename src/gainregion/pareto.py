@@ -319,8 +319,7 @@ class UtilitySweep:
     Rows are in C order over the axis shape, i.e. lexicographic over the
     parameter axes.  Row i holds ``utilities[i]`` at the parameters
     ``parameter_point(i)`` (as a ParameterPoint) or ``parameter_row(i)``
-    (as one row of the CSV parameter columns); ``parameter_rows()`` gathers
-    a block of rows.
+    (as one row of the CSV parameter columns).
     """
 
     def __init__(self, scenario: Scenario, axes: list[SweepAxis], utilities: np.ndarray):
@@ -340,17 +339,10 @@ class UtilitySweep:
     def utility_columns(self) -> tuple[str, ...]:
         return tuple(f"u_{r}" for r in self.scenario.receivers)
 
-    def parameter_rows(self, indices) -> np.ndarray:
-        """Parameter columns of flat grid indices: (n, P) for n indices, (P,) for one.
-
-        One ``np.unravel_index`` over all the indices, then one fancy index
-        into each axis's values, concatenated in axis order.
-        """
-        idx = np.unravel_index(indices, self.shape)
-        return np.concatenate([ax.values[j] for ax, j in zip(self.axes, idx)], axis=-1)
-
     def parameter_row(self, i: int) -> np.ndarray:
-        return self.parameter_rows(i)
+        """Parameter columns of flat grid index ``i``, concatenated in axis order."""
+        idx = np.unravel_index(i, self.shape)
+        return np.concatenate([ax.values[j] for ax, j in zip(self.axes, idx)])
 
     def parameter_point(self, i: int) -> ParameterPoint:
         lambdas, splits, free_powers = {}, {}, {}

@@ -289,8 +289,10 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> list[Check]:
-    """Run one suite (or 'all'); unknown names raise KeyError, and fewer
-    than one trial raises ValueError."""
+    """Run one suite (or 'all'); unknown names raise KeyError, and a
+    negative seed or fewer than one trial raises ValueError."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if name == "all":

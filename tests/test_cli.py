@@ -273,6 +273,15 @@ def test_verify_rejects_fewer_than_one_trial(trials, capsys):
         assert err == f"error: trials must be >= 1, got {trials}\n"
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    # numpy's own refusal of a negative seed names no flag; refuse it first.
+    for suite in [*suite_names(), "all"]:
+        assert run("verify", "--suite", suite, "--seed", "-1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_verify_unknown_suite(capsys):
     assert run("verify", "--suite", "nope") == 2
     err = capsys.readouterr().err
@@ -337,24 +346,52 @@ def test_whole_row_line_is_the_per_value_format(values, negate):
     assert line == per_value_line(values) + "\n"
 
 
+# gen flags, step and the axis kind each scenario is there for: lambda axes
+# only (3,375 rows), split axes (mixed N=3, 648 rows) and one power axis per
+# transmitter (ic 3x2, 5,832 rows).
+_BLOCK_EDGE_SCENARIOS = [
+    (("--template", "ic", "--users", "3", "--antennas", "3", "--seed", "2"), "0.25", "lambda"),
+    (("--template", "mixed", "--antennas", "3", "--seed", "2"), "0.5", "split"),
+    (("--template", "ic", "--users", "3", "--antennas", "2", "--seed", "2"), "0.5", "power"),
+]
+
+
 @pytest.mark.parametrize("filtered", [False, True])
 def test_sweep_rates_rows_across_block_edges(tmp_path, filtered):
-    scen = tmp_path / "ic.json"
-    run("gen", "--template", "ic", "--users", "3", "--antennas", "3",
-        "--seed", "2", "--out", str(scen))
-    out = tmp_path / "rates.csv"
     flags = ["--filter"] if filtered else []
-    assert run("sweep-rates", "--scenario", str(scen), "--step", "0.25", *flags,
-               "--out", str(out)) == 0
-    s = load_scenario(scen)
-    sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), 0.25)
-    keep = pareto_filter(sweep.utilities) if filtered else range(len(sweep))
     edge = cli._WRITE_BLOCK
-    assert len(keep) > edge
-    if filtered:
-        # The kept rows on either side of the first block edge are not neighbours.
-        assert keep[edge] - keep[edge - 1] > 1
-    expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]]) for i in keep]
+    for n, (gen_flags, step, kind) in enumerate(_BLOCK_EDGE_SCENARIOS):
+        scen, out = tmp_path / f"scenario{n}.json", tmp_path / f"rates{n}.csv"
+        run("gen", *gen_flags, "--out", str(scen))
+        assert run("sweep-rates", "--scenario", str(scen), "--step", step, *flags,
+                   "--out", str(out)) == 0
+        s = load_scenario(scen)
+        sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), float(step))
+        assert kind in [ax.kind for ax in sweep.axes], kind
+        keep = pareto_filter(sweep.utilities) if filtered else range(len(sweep))
+        assert len(keep) > edge, kind
+        if filtered and kind == "lambda":
+            # The kept rows on either side of the first block edge are not neighbours.
+            assert keep[edge] - keep[edge - 1] > 1
+        expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]]) for i in keep]
+        assert data_lines(out) == expected, kind
+
+
+def test_sweep_rates_parameter_fields_keep_17_digits(tmp_path):
+    # At step 0.1 most grid values (0.1, 0.7, ...) need all 17 digits, which
+    # the dyadic steps of the block-edge test never do.
+    scen = tmp_path / "ic.json"
+    run("gen", "--template", "ic", "--users", "2", "--antennas", "1",
+        "--seed", "5", "--out", str(scen))
+    out = tmp_path / "rates.csv"
+    assert run("sweep-rates", "--scenario", str(scen), "--step", "0.1", "--out", str(out)) == 0
+    s = load_scenario(scen)
+    sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), 0.1)
+    for kind in ("lambda", "power"):
+        values = [v for ax in sweep.axes if ax.kind == kind for v in ax.values.ravel().tolist()]
+        assert any(f"{v:.16g}" != f"{v:.17g}" for v in values), kind
+    expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]])
+                for i in range(len(sweep))]
     assert data_lines(out) == expected
 
 
