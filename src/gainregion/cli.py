@@ -43,13 +43,8 @@ from .network import (
     scenario_digest,
     snr_to_noise,
 )
-from .pareto import (
-    DEFAULT_POINT_BUDGET,
-    UtilitySpec,
-    pareto_filter,
-    sweep_utility_region,
-)
-from .region import sweep_boundary
+from .pareto import UtilitySpec, pareto_filter, sweep_utility_region
+from .region import DEFAULT_POINT_BUDGET, sweep_boundary
 from .verify import run_suite, suite_names
 
 TEMPLATES = ("ic", "mixed")

@@ -51,15 +51,12 @@ class TransmitterSpec:
     tid: str
     n_antennas: int
     intended: frozenset[int]
-    channel_key: str
+    channel_key: str | None = None
 
-    def __init__(self, tid, n_antennas, intended, channel_key=None):
-        object.__setattr__(self, "tid", str(tid))
-        object.__setattr__(self, "n_antennas", int(n_antennas))
-        object.__setattr__(self, "intended", frozenset(int(r) for r in intended))
-        object.__setattr__(
-            self, "channel_key", str(tid) if channel_key is None else str(channel_key)
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "intended", frozenset(self.intended))
+        if self.channel_key is None:
+            object.__setattr__(self, "channel_key", self.tid)
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,14 @@ class Scenario:
         return [self.channel(tid, r) for r in self.receivers]
 
 
+def _is_count(x) -> bool:
+    """Whether x is a Python int; bool, float and str counts are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_structure(s: Scenario) -> None:
+    if not _is_count(s.n_receivers):
+        raise ScenarioFormatError(f"receivers: must be an integer, got {s.n_receivers!r}")
     if s.n_receivers < 1:
         raise ScenarioFormatError("receivers: must be >= 1")
     if not math.isfinite(s.noise_power) or s.noise_power <= 0:
@@ -136,15 +140,25 @@ def _check_structure(s: Scenario) -> None:
     key_dims = {}
     for i, t in enumerate(s.transmitters):
         path = f"transmitters[{i}]"
+        for name, value in (("id", t.tid), ("channel_key", t.channel_key)):
+            if not isinstance(value, str):
+                raise ScenarioFormatError(f"{path}.{name}: must be a string, got {value!r}")
         if t.tid in seen:
             raise ScenarioFormatError(f"{path}.id: duplicate id {t.tid!r}")
         seen.add(t.tid)
+        if not _is_count(t.n_antennas):
+            raise ScenarioFormatError(f"{path}.antennas: must be an integer, got {t.n_antennas!r}")
         if t.n_antennas < 1:
             raise ScenarioFormatError(f"{path}.antennas: must be >= 1")
         if not t.intended:
             raise ScenarioFormatError(
                 f"{path}.intended: must contain at least one receiver "
                 "(the direction vector would be all -1)"
+            )
+        odd = sorted(repr(r) for r in t.intended if not _is_count(r))
+        if odd:
+            raise ScenarioFormatError(
+                f"{path}.intended: receivers must be integers, got {', '.join(odd)}"
             )
         bad = [r for r in t.intended if not 1 <= r <= s.n_receivers]
         if bad:
@@ -224,7 +238,13 @@ def snr_to_noise(snr_db: float) -> float:
     snr_db = float(snr_db)
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        noise = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        noise = math.inf
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"snr_db {snr_db:g} gives a noise power outside the float range")
+    return noise
 
 
 def _complex_to_pairs(vec: np.ndarray) -> list[list[float]]:
@@ -313,7 +333,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         return Scenario(
             transmitters=tuple(transmitters),
-            n_receivers=int(doc["receivers"]),
+            n_receivers=doc["receivers"],
             noise_power=float(doc["noise_power"]),
             power_groups=tuple(tuple(g) for g in doc["power_groups"]),
             channels=channels,

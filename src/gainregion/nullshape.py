@@ -1,20 +1,19 @@
 """Null-shaping characterization of efficient beamformers.
 
-Builds the null-constraint matrix from selected eigenvectors of the
-weighted channel combination, forms the projected-MRT beamformer that
-satisfies those constraints, and verifies that it achieves exactly the
-same power gains as ``region.boundary_strategy``, the strategy the
-boundary sweeps emit.  Both read the same interior-limit eigensystem
-(``region.boundary_eigensystem``), so they also agree on simplex faces,
-where the eigenvalues of the combination are multiple.
+Builds the null-constraint matrix, a read-only (N, C) array of selected
+eigenvectors of the weighted channel combination, forms the projected-MRT
+beamformer that satisfies those constraints, and verifies that it
+achieves exactly the same power gains as ``region.boundary_strategy``,
+the strategy the boundary sweeps emit.  Both read the same
+interior-limit eigensystem (``region.boundary_eigensystem``), so they
+also agree on simplex faces, where the eigenvalues of the combination
+are multiple.
 
 Requires at least as many transmit antennas as receivers; below that the
 constraints cannot all be met and the construction errors out.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +27,11 @@ from .region import (
 )
 
 __all__ = [
-    "NullConstraintSet",
     "null_constraints",
     "projected_mrt",
     "verify_gain_equivalence",
     "eigenvalue_structure",
 ]
-
-
-@dataclass(frozen=True)
-class NullConstraintSet:
-    """Null-shaping constraints: orthonormal directions to radiate zero power.
-
-    ``columns`` (N, C), read-only, holds the eigenvectors of the weighted
-    channel combination at ``low_range`` (the smallest-eigenvalue block),
-    then at ``high_range`` (the block below the top), half-open 0-based
-    ranges in nondecreasing eigenvalue order; C = K - 1 when the receiver
-    sets are exhaustive.
-    """
-
-    columns: np.ndarray
-    low_range: tuple[int, int]
-    high_range: tuple[int, int]
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns)
-        cols.flags.writeable = False
-        object.__setattr__(self, "columns", cols)
 
 
 def _ranges(vecs, lam: np.ndarray, e: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -73,8 +50,10 @@ def _ranges(vecs, lam: np.ndarray, e: np.ndarray) -> tuple[tuple[int, int], tupl
     return (0, k - n_in), (n - n_in, n - 1)
 
 
-def null_constraints(channels, lam, e) -> NullConstraintSet:
-    """Select the eigenvectors that act as null-shaping constraints.
+def null_constraints(channels, lam, e) -> np.ndarray:
+    """The eigenvectors that act as null-shaping constraints, as the
+    read-only orthonormal columns (N, C) of the directions to radiate zero
+    power; C = K - 1 when the receiver sets are exhaustive.
 
     With eigenvalues in nondecreasing order, takes the first
     |unintended| eigenvectors and the ones at positions
@@ -91,17 +70,18 @@ def null_constraints(channels, lam, e) -> NullConstraintSet:
     low, high = _ranges(vecs, lam, e)
     es = boundary_eigensystem(vecs, lam, e)
     cols = np.hstack([es.vectors[:, low[0] : low[1]], es.vectors[:, high[0] : high[1]]])
-    return NullConstraintSet(columns=cols, low_range=low, high_range=high)
+    cols.flags.writeable = False
+    return cols
 
 
-def projected_mrt(constraints: NullConstraintSet, h_intended) -> np.ndarray:
-    """MRT projected onto the orthogonal complement of the constraints.
+def projected_mrt(cols, h_intended) -> np.ndarray:
+    """MRT projected onto the orthogonal complement of the constraint
+    columns (N, C), as ``null_constraints`` returns them.
 
-    The result radiates zero power along every constraint column.  An
-    empty constraint set gives plain MRT, unit(h), bit for bit.
+    The result radiates zero power along every constraint column.  No
+    columns (C = 0) give plain MRT, unit(h), bit for bit.
     """
     h = as_cvec(h_intended)
-    cols = constraints.columns
     if cols.shape[0] != h.size:
         raise ValueError(
             f"constraints have dimension {cols.shape[0]}, channel has {h.size}"
@@ -126,8 +106,7 @@ def verify_gain_equivalence(channels, lam, e, probes: int = 50, seed: int = 0) -
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
-    constraints = null_constraints(vecs, lam, e)
-    w_proj = projected_mrt(constraints, vecs[int(np.argmax(e == 1))])
+    w_proj = projected_mrt(null_constraints(vecs, lam, e), vecs[int(np.argmax(e == 1))])
     v_top = boundary_strategy(vecs, lam, e).direction
     rng = np.random.default_rng(seed)
     n = vecs[0].size

@@ -15,12 +15,12 @@ control), with the last axis varying fastest.  Each transmitter enters
 the sweep only through the columns of its boundary table
 (``region.boundary_table``, stacked eigendecompositions that match
 ``boundary_strategy`` bit for bit): the unit-power gains at its simplex
-weights, times the ``class_power`` of each row's class (or the power axis
-on free rows), times its group split, form one small array per
-(transmitter, receiver) that broadcasts over the whole grid; no
-per-weight strategy object is built.  The utilities are then evaluated one
-slab of the first axis at a time; ``utilities_at`` is the scalar oracle
-for any row.
+weights, times the ``class_power`` of each row's class (with the power
+axis as the FREE levels, where there is one), times its group split, form
+one small array per (transmitter, receiver) that broadcasts over the
+whole grid; no per-weight strategy object is built.  The utilities are
+then evaluated one slab of the first axis at a time; ``utilities_at`` is
+the scalar oracle for any row.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
@@ -40,7 +40,7 @@ import numpy as np
 from .linalg import RANK_RTOL, as_cvec, projector_complement, projector_onto, unit
 from .network import Scenario, direction_vector
 from .region import (
-    PowerClass,
+    DEFAULT_POINT_BUDGET,
     boundary_eigensystem,
     boundary_strategy,
     boundary_table,
@@ -54,10 +54,8 @@ from .region import (
 )
 
 __all__ = [
-    "DEFAULT_POINT_BUDGET",
     "ReceiverRule",
     "UtilitySpec",
-    "rate",
     "utilities",
     "ParameterPoint",
     "pareto_strategies",
@@ -75,8 +73,6 @@ __all__ = [
     "verify_two_user_identity",
     "alignment_search",
 ]
-
-DEFAULT_POINT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -124,20 +120,10 @@ class UtilitySpec:
         return cls(rules=tuple(rules), noise_power=s.noise_power if noise_power is None else noise_power)
 
 
-def rate(spec: UtilitySpec, receiver: int, gains_by_tid: dict) -> float:
-    """Achievable rate log2(1 + S / (sigma^2 + I)) at one receiver (1..K)."""
-    if not 1 <= receiver <= spec.n_receivers:
-        raise ValueError(f"receiver must be in 1..{spec.n_receivers}, got {receiver}")
-    rule = spec.rules[receiver - 1]
-    signal = sum(float(gains_by_tid[t]) for t in rule.signal)
-    interference = sum(float(gains_by_tid[t]) for t in rule.interference)
-    if signal < 0 or interference < 0:
-        raise ValueError("gains must be nonnegative")
-    return math.log2(1.0 + signal / (spec.noise_power + interference))
-
-
 def utilities(spec: UtilitySpec, tids, gain_matrix) -> np.ndarray:
-    """Utility tuple for a (transmitters x receivers) gain matrix."""
+    """Utility tuple for a (transmitters x receivers) gain matrix: the rate
+    log2(1 + S / (sigma^2 + I)) at each receiver, S and I summed over its
+    rule's signal and interference transmitters in rule order."""
     g = np.asarray(gain_matrix, dtype=float)
     tids = list(tids)
     if g.shape != (len(tids), spec.n_receivers):
@@ -145,9 +131,14 @@ def utilities(spec: UtilitySpec, tids, gain_matrix) -> np.ndarray:
             f"gain matrix shape {g.shape} does not match "
             f"({len(tids)}, {spec.n_receivers})"
         )
+    row = {t: i for i, t in enumerate(tids)}
     out = np.empty(spec.n_receivers)
-    for r in range(1, spec.n_receivers + 1):
-        out[r - 1] = rate(spec, r, {t: g[i, r - 1] for i, t in enumerate(tids)})
+    for j, rule in enumerate(spec.rules):
+        signal = sum(float(g[row[t], j]) for t in rule.signal)
+        interference = sum(float(g[row[t], j]) for t in rule.interference)
+        if signal < 0 or interference < 0:
+            raise ValueError("gains must be nonnegative")
+        out[j] = math.log2(1.0 + signal / (spec.noise_power + interference))
     return out
 
 
@@ -293,15 +284,12 @@ def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
         _, classes, gains = boundary_table(
             s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
         )
-        power = class_power(classes)
         power_axis = axis_by.get(("power", t.tid))
         if power_axis is None:
-            power = along(power, lam_axis)
+            power = along(class_power(classes), lam_axis)
         else:
-            free = classes == PowerClass.FREE
             levels = axes[power_axis].values[:, 0]
-            table = np.where(free[:, None], levels[None, :], power[:, None])
-            power = along(table, lam_axis, power_axis)
+            power = along(class_power(classes[:, None], levels), lam_axis, power_axis)
         group = s.group_of(t.tid)
         split_axis = axis_by.get(("split", group))
         split = 1.0

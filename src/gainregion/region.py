@@ -12,8 +12,10 @@ power classes (G,) and unit-power gains (G, K) from stacked
 eigendecompositions, and ``sweep_boundary`` gives weights, powers, classes
 and gains with one row per sample.  Every row is bitwise what
 ``boundary_strategy`` (with ``p_free`` for a fanned-out free row) and
-``strategy_gains`` give at its weights alone.  ``class_power`` is the one
-full/free/zero -> power rule for both.
+``strategy_gains`` give at its weights alone.  ``class_power``, the one
+full/free/zero -> power rule for both, is the only home of FREE power.
+``sweep_boundary`` refuses grids and fan-outs of more rows than
+``DEFAULT_POINT_BUDGET`` before building them.
 
 Channel lists here are plain sequences indexed 0-based; the network layer
 maps receivers 1..K onto positions 0..K-1.
@@ -42,6 +44,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "DEFAULT_POINT_BUDGET",
     "SIMPLEX_TOL",
     "PowerClass",
     "BoundaryStrategy",
@@ -66,6 +69,8 @@ __all__ = [
     "weighted_objective",
 ]
 
+# Most rows a sweep may enumerate; a larger grid is refused after counting.
+DEFAULT_POINT_BUDGET = 10_000_000
 # Tolerance on simplex weights summing to one.
 SIMPLEX_TOL = 1e-12
 # Weight rows per stacked eigendecomposition in boundary_table: enough to
@@ -94,6 +99,8 @@ def simplex_grid_size(k: int, step: float) -> int:
         raise ValueError("k must be >= 1")
     if not (0.0 < step <= 1.0):
         raise ValueError(f"step must be in (0, 1], got {step}")
+    if not math.isfinite(1.0 / step):
+        raise ValueError(f"step {step} is too small: 1/step overflows")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-12 * max(1, m):
         raise ValueError(f"step {step} does not divide 1")
@@ -174,18 +181,20 @@ def _power_class(values):
     return _CLASS_BY_SIGN[(mu_max > tau).astype(np.intp) - (mu_max < -tau) + 1]
 
 
-def class_power(classes, p_free: float = 1.0):
+def class_power(classes, p_free=1.0):
     """Boundary power of a power class: 1 for FULL, 0 for ZERO and ``p_free``
-    in [0, 1] for FREE.  An array of classes (G,) gives powers (G,).
+    in [0, 1] for FREE.  Classes and levels broadcast: classes (G,) give
+    powers (G,), classes (G, 1) against levels (P,) a power table (G, P).
 
     The default 1.0 for FREE is the only choice that stays on the boundary
     in every antenna regime and realizes the zero-forcing anchors at full
     power.
     """
-    if not 0.0 <= p_free <= 1.0:
+    levels = np.asarray(p_free, dtype=float)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
         raise ValueError(f"p_free must be in [0, 1], got {p_free}")
     power = np.where(
-        classes == PowerClass.FULL, 1.0, np.where(classes == PowerClass.ZERO, 0.0, p_free)
+        classes == PowerClass.FULL, 1.0, np.where(classes == PowerClass.ZERO, 0.0, levels)
     )
     return float(power) if power.ndim == 0 else power
 
@@ -204,12 +213,9 @@ def boundary_eigensystem(channels, lam, e) -> EigenSystem:
     span; if the split still leaves the top eigenvalue tied, the span rule
     picks the top member.
     """
+    lam = check_simplex_weight(lam)
+    e = check_direction(e)
     vecs = [as_cvec(h) for h in channels]
-    return _boundary_eig(vecs, check_simplex_weight(lam), check_direction(e))
-
-
-def _boundary_eig(vecs, lam: np.ndarray, e: np.ndarray) -> EigenSystem:
-    """The interior-limit eigensystem; one eigendecomposition of Z."""
     es = eig_hermitian(weighted_combination(vecs, lam, e))
     blocks = tied_blocks(es.values)
     if blocks:
@@ -256,11 +262,9 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     pick any ``p_free`` in [0, 1] (default 1.0).
     """
     lam = check_simplex_weight(lam)
-    e = check_direction(e)
-    vecs = [as_cvec(h) for h in channels]
-    es = _boundary_eig(vecs, lam, e)
+    es = boundary_eigensystem(channels, lam, e)
     cls = _power_class(es.values)
-    power = class_power(cls, 1.0 if p_free is None else float(p_free))
+    power = class_power(cls, 1.0 if p_free is None else p_free)
     return BoundaryStrategy(
         direction=es.vectors[:, -1].copy(), power=power, lam=lam, power_class=cls
     )
@@ -343,6 +347,8 @@ def sweep_boundary(
     (otherwise only full power lies on the boundary and one row is
     emitted).  Row r is bitwise boundary_strategy at ``lam[r]`` (with
     ``p_free=power[r]`` on a fanned-out free row) and its strategy_gains.
+    More grid rows, or more rows after the fan-out, than
+    ``DEFAULT_POINT_BUDGET`` are refused before they are built.
     """
     vecs = [as_cvec(h) for h in channels]
     e = check_direction(e)
@@ -350,16 +356,27 @@ def sweep_boundary(
         raise ValueError(f"{len(vecs)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
+    _check_budget(simplex_grid_size(len(vecs), step), "grid rows")
     grid = simplex_grid(len(vecs), step)
     _, classes, unit = boundary_table(vecs, grid, e)
-    power = class_power(classes)
     rows = np.arange(len(grid))
-    if needs_power_control(vecs[0].size, e):
-        free = classes == PowerClass.FREE
+    levels = 1.0
+    free = classes == PowerClass.FREE
+    n_free = int(np.count_nonzero(free)) if needs_power_control(vecs[0].size, e) else 0
+    if n_free:
+        _check_budget(len(grid) + n_free * (p_free_samples - 1), "rows after the free fan-out")
         rows = np.repeat(rows, np.where(free, p_free_samples, 1))
-        power = power[rows]
-        power[free[rows]] = np.tile(np.linspace(0.0, 1.0, p_free_samples), np.count_nonzero(free))
+        levels = np.ones(len(rows))
+        levels[free[rows]] = np.tile(np.linspace(0.0, 1.0, p_free_samples), n_free)
+    power = class_power(classes[rows], levels)
     return grid[rows], power, classes[rows], power[:, None] * unit[rows]
+
+
+def _check_budget(n_rows: int, what: str) -> None:
+    if n_rows > DEFAULT_POINT_BUDGET:
+        raise ValueError(
+            f"sweep would produce {n_rows} {what}, above the budget of {DEFAULT_POINT_BUDGET}"
+        )
 
 
 def segment_covariance(qx, qy, t: float) -> np.ndarray:

@@ -306,6 +306,55 @@ def test_unknown_transmitter_prints_the_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown transmitter id '9'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, edit, message",
+    [
+        pytest.param(["gen", "--template", "ic", "--snr-db", "-4000", "--seed", "1"], None,
+                     "snr_db", id="gen-noise-overflows"),
+        pytest.param(["gen", "--template", "mixed", "--snr-db", "4000", "--seed", "1"], None,
+                     "snr_db", id="gen-noise-underflows"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--snr-db", "-4000"], None,
+                     "snr_db", id="rates-noise-overflows"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--snr-db", "4000"], None,
+                     "snr_db", id="rates-noise-underflows"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "5e-324"], None,
+                     "step", id="rates-tiny-step"),
+        pytest.param(["sweep-gain", "--scenario", "{scen}", "--transmitter", "1",
+                      "--step", "5e-324"], None, "step", id="gain-tiny-step"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
+                     ("antennas", 2.7), "transmitters[0].antennas", id="antennas-float"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
+                     ("antennas", "2"), "transmitters[0].antennas", id="antennas-string"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
+                     ("antennas", True), "transmitters[0].antennas", id="antennas-bool"),
+        pytest.param(["sweep-gain", "--scenario", "{scen}", "--transmitter", "1",
+                      "--step", "0.5"], ("receivers", 3.5), "receivers", id="receivers-float"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
+                     ("intended", [1.9]), "transmitters[0].intended", id="intended-float"),
+    ],
+)
+def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, argv, edit, message):
+    # Counts that are not integers, an SNR whose noise power leaves the
+    # float range and a step whose reciprocal overflows are all refused
+    # by name, not truncated, overflowed or refused later under another name.
+    scen = tmp_path / "ic.json"
+    assert run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
+               "--seed", "1", "--out", str(scen)) == 0
+    if edit is not None:
+        doc = json.loads(scen.read_text())
+        name, value = edit
+        (doc if name == "receivers" else doc["transmitters"][0])[name] = value
+        scen.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*[a.format(scen=scen) for a in argv], "--out", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert not out.exists()
+
+
 def data_lines(path):
     return [",".join(row) for row in read_cloud(path)[2]]
 

@@ -8,7 +8,7 @@ from gainregion.nullshape import (
     projected_mrt,
     verify_gain_equivalence,
 )
-from gainregion.region import boundary_strategy, unit_gains
+from gainregion.region import boundary_eigensystem, boundary_strategy, unit_gains
 
 from conftest import random_channels
 
@@ -21,26 +21,29 @@ def test_constraint_indices_miso_ic_three_user(rng):
     # constraints are the two smallest-eigenvalue eigenvectors.
     channels = random_channels(rng, 3, 3)
     cs = null_constraints(channels, [0.2, 0.5, 0.3], E3)
-    assert cs.columns.shape[1] == 2
-    assert cs.low_range == (0, 2)
-    assert cs.high_range == (2, 2)  # empty: 3..2 in 1-based terms
+    assert cs.shape[1] == 2
+    assert not cs.flags.writeable
+    # low range [0, 2), high range [2, 2) empty: 3..2 in 1-based terms
+    vectors = boundary_eigensystem(channels, [0.2, 0.5, 0.3], E3).vectors
+    assert np.array_equal(cs, vectors[:, np.r_[0:2, 2:2]])
     es = eig_hermitian(weighted_combination(channels, [0.2, 0.5, 0.3], E3))
-    assert np.allclose(np.abs(cs.columns.conj().T @ es.vectors[:, :2]), np.eye(2), atol=1e-12)
+    assert np.allclose(np.abs(cs.conj().T @ es.vectors[:, :2]), np.eye(2), atol=1e-12)
 
 
 def test_constraint_indices_multicast_transmitter(rng):
     # Two intended receivers: one low constraint plus one high constraint.
     channels = random_channels(rng, 3, 3)
     cs = null_constraints(channels, [0.3, 0.4, 0.3], np.array([-1, 1, 1]))
-    assert cs.columns.shape[1] == 2
-    assert cs.low_range == (0, 1)
-    assert cs.high_range == (1, 2)
+    assert cs.shape[1] == 2
+    # low range [0, 1), high range [1, 2); the top eigenvector is left out
+    vectors = boundary_eigensystem(channels, [0.3, 0.4, 0.3], [-1, 1, 1]).vectors
+    assert np.array_equal(cs, vectors[:, np.r_[0:1, 1:2]])
 
 
 def test_constraint_set_empty_for_single_receiver(rng):
     h = random_channels(rng, 2, 1)
     cs = null_constraints(h, [1.0], [1])
-    assert cs.columns.shape[1] == 0
+    assert cs.shape[1] == 0
     w = projected_mrt(cs, h[0])
     assert np.array_equal(w, unit(h[0]))
 
@@ -48,7 +51,7 @@ def test_constraint_set_empty_for_single_receiver(rng):
 def test_constraint_columns_orthonormal(rng):
     channels = random_channels(rng, 4, 3)
     cs = null_constraints(channels, [0.5, 0.25, 0.25], E3)
-    gram = cs.columns.conj().T @ cs.columns
+    gram = cs.conj().T @ cs
     assert np.abs(gram - np.eye(2)).max() <= 1e-10
 
 
@@ -73,7 +76,7 @@ def test_projected_mrt_satisfies_constraints(rng):
     channels = random_channels(rng, 4, 3)
     cs = null_constraints(channels, [0.2, 0.3, 0.5], E3)
     w = projected_mrt(cs, channels[0])
-    assert np.abs(cs.columns.conj().T @ w).max() <= 1e-10
+    assert np.abs(cs.conj().T @ w).max() <= 1e-10
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 

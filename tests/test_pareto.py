@@ -20,7 +20,6 @@ from gainregion.pareto import (
     pareto_filter,
     pareto_filter_bruteforce,
     pareto_strategies,
-    rate,
     strategy_gain_matrix,
     sweep_axes,
     sweep_utility_region,
@@ -60,12 +59,12 @@ def indicator(k, size):
 
 def test_rate_one_bit():
     spec = UtilitySpec(rules=(ReceiverRule(("a",), ()),), noise_power=0.5)
-    assert rate(spec, 1, {"a": 0.5}) == pytest.approx(1.0)
+    assert utilities(spec, ["a"], [[0.5]])[0] == pytest.approx(1.0)
 
 
 def test_rate_zero_gains():
     spec = UtilitySpec(rules=(ReceiverRule(("a",), ("b",)),), noise_power=0.3)
-    assert rate(spec, 1, {"a": 0.0, "b": 0.0}) == 0.0
+    assert utilities(spec, ["a", "b"], [[0.0], [0.0]])[0] == 0.0
 
 
 def test_rate_matches_direct_formula(rng):
@@ -75,7 +74,8 @@ def test_rate_matches_direct_formula(rng):
     for _ in range(25):
         g = dict(zip("abc", rng.uniform(0, 3, 3)))
         expected = np.log2(1 + (g["a"] + g["b"]) / (0.7 + g["c"]))
-        assert rate(spec, 1, g) == pytest.approx(expected, rel=1e-15)
+        got = utilities(spec, g.keys(), [[x] for x in g.values()])[0]
+        assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_rate_rejects_bad_noise():

@@ -472,6 +472,37 @@ def test_class_power_is_the_one_power_rule():
     assert type(class_power(PowerClass.FULL)) is float
     with pytest.raises(ValueError, match="p_free"):
         class_power(classes, 1.5)
+    # A (G, 1) column of classes against a row of FREE levels: a (G, P) table.
+    levels = np.array([0.0, 0.5, 1.0])
+    assert class_power(classes[:, None], levels).tolist() == [
+        [1.0, 1.0, 1.0],
+        [0.0, 0.5, 1.0],
+        [0.0, 0.0, 0.0],
+    ]
+    with pytest.raises(ValueError, match="p_free"):
+        class_power(classes[:, None], np.array([0.0, 1.5, 1.0]))
+
+
+def test_sweep_boundary_refuses_a_grid_above_the_budget(rng, monkeypatch):
+    monkeypatch.setattr(region, "DEFAULT_POINT_BUDGET", 100)
+
+    def spy(*args):
+        raise AssertionError("simplex_grid ran on a grid above the budget")
+
+    monkeypatch.setattr(region, "simplex_grid", spy)
+    channels = random_channels(rng, 2, 3)
+    with pytest.raises(ValueError, match="5151 grid rows, above the budget of 100"):
+        sweep_boundary(channels, [1, -1, -1], 0.01)
+
+
+def test_sweep_boundary_refuses_a_fan_out_above_the_budget(rng, monkeypatch):
+    # Two free vertices at step 0.5 (6 grid rows), each fanned out over 100
+    # levels: 6 + 2 * 99 rows, more than a budget of 100.
+    monkeypatch.setattr(region, "DEFAULT_POINT_BUDGET", 100)
+    channels = random_channels(rng, 2, 3)
+    with pytest.raises(ValueError, match="204 rows after the free fan-out"):
+        sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=100)
+    assert len(sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=48)[0]) == 100
 
 
 # ------------------------------------------------- segment covariance
