@@ -4,7 +4,9 @@ All functions here are pure: they validate their inputs and never
 mutate them.  Eigenvalues are always returned in nondecreasing order, and
 eigenvectors carry a fixed phase (first nonzero component real and
 positive) so identical inputs produce bit-identical outputs.  Entry g of
-a stacked result is bitwise the result for entry g alone.
+a stacked result is bitwise the result for entry g alone.  A channel set
+is one (K, N) complex matrix, row l the channel to receiver l, validated
+only by ``as_channels``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "DegenerateEigenspaceWarning",
     "EigenSystem",
     "as_cvec",
+    "as_channels",
     "unit",
     "fix_phase",
     "outer_product",
@@ -60,6 +63,17 @@ def as_cvec(h) -> np.ndarray:
     return v
 
 
+def as_channels(channels) -> np.ndarray:
+    """Validate and return a finite (K, N) complex channel matrix, K, N >= 1,
+    given as the matrix or as K vectors of one length."""
+    h = np.asarray(channels)
+    if h.ndim != 2 or h.size == 0 or h.dtype.kind not in "iufc":
+        raise ValueError(f"expected a nonempty numeric (K, N) matrix, got {h.dtype} {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("channels contain non-finite entries")
+    return h.astype(np.complex128, copy=False)
+
+
 def unit(v) -> np.ndarray:
     """Return v scaled to unit Euclidean norm."""
     v = as_cvec(v)
@@ -97,24 +111,21 @@ def outer_product(h) -> np.ndarray:
 def weighted_combination(channels, weights, directions) -> np.ndarray:
     """Weighted Hermitian combination  sum_l w_l e_l h_l h_l^H.
 
-    ``channels`` is a sequence of K equal-dimension complex vectors,
+    ``channels`` is the (K, N) channel matrix (see as_channels),
     ``directions`` a +-1 vector of length K and ``weights`` a real vector
     of length K (one (N, N) matrix) or a (G, K) array of weight rows (a
     (G, N, N) stack, the terms added in the same order for every row).
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     w = np.asarray(weights, dtype=float)
     e = np.asarray(directions, dtype=float)
-    if w.ndim not in (1, 2) or not (len(vecs) == w.shape[-1] == e.size):
+    if w.ndim not in (1, 2) or not (len(h) == w.shape[-1] == e.size):
         raise ValueError(
-            f"length mismatch: {len(vecs)} channels, weights {w.shape}, {e.size} directions"
+            f"length mismatch: {len(h)} channels, weights {w.shape}, {e.size} directions"
         )
-    dim = vecs[0].size
-    for i, v in enumerate(vecs):
-        if v.size != dim:
-            raise ValueError(f"channel {i} has dimension {v.size}, expected {dim}")
+    dim = h.shape[1]
     z = np.zeros(w.shape[:-1] + (dim, dim), dtype=np.complex128)
-    for l, (el, v) in enumerate(zip(e, vecs)):
+    for l, (el, v) in enumerate(zip(e, h)):
         z += (w[..., l] * el)[..., None, None] * np.outer(v, v.conj())
     return z
 
@@ -188,7 +199,8 @@ def _span_tiebreak(eigvecs: np.ndarray, span_basis) -> np.ndarray | None:
     eigenspace), best aligned first, or None when the projection is
     numerically zero.
     """
-    basis = np.column_stack([as_cvec(b) for b in span_basis])
+    # C order: matmul and norm round differently on a transposed view.
+    basis = as_channels(span_basis).T.copy()
     coords = eigvecs.conj().T @ basis
     u, s, _ = np.linalg.svd(coords)
     if s.size == 0 or s[0] <= RANK_RTOL * np.linalg.norm(basis, axis=0).max():
@@ -287,25 +299,17 @@ def _dependent_columns(a: np.ndarray) -> list[int]:
     return dependent
 
 
-def _stack_columns(columns, dim: int | None) -> np.ndarray:
-    cols = list(columns) if columns is not None else []
-    if len(cols) == 0:
+def projector_onto(columns, dim: int | None = None) -> np.ndarray:
+    """Orthogonal projector onto the span of the given vectors (a sequence,
+    or the rows of a matrix), zero for none; a set that _dependent_columns
+    finds rank deficient is rejected, naming the dependent columns."""
+    if len(columns) == 0:
         if dim is None:
             raise ValueError("dim is required when the column set is empty")
-        return np.zeros((dim, 0), dtype=np.complex128)
-    a = np.column_stack([as_cvec(c) for c in cols])
+        return np.zeros((dim, dim), dtype=np.complex128)
+    a = as_channels(columns).T.copy()  # C order, as in _span_tiebreak
     if dim is not None and a.shape[0] != dim:
         raise ValueError(f"columns have dimension {a.shape[0]}, expected {dim}")
-    return a
-
-
-def projector_onto(columns, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the column space of the given vectors, zero
-    for none; a set that _dependent_columns finds rank deficient is
-    rejected, naming the dependent columns."""
-    a = _stack_columns(columns, dim)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
     dependent = _dependent_columns(a)
     if dependent:
         raise ValueError(

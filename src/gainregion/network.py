@@ -2,7 +2,8 @@
 
 A Scenario is immutable after construction and safe for shared concurrent
 reads.  Receivers are numbered 1..K, matching the on-disk format and the
-CLI; the math modules index plain channel lists 0-based.
+CLI; the math modules take a transmitter's channels as one (K, N) matrix
+(``Scenario.channels_for``) whose rows are indexed 0-based.
 
 Virtual transmitters (one physical transmitter split per intended
 receiver, coupled by a shared power budget) are modeled by giving several
@@ -77,13 +78,13 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "transmitters", tuple(self.transmitters))
-        groups = tuple(tuple(str(t) for t in g) for g in self.power_groups)
+        groups = tuple(tuple(g) for g in self.power_groups)
         object.__setattr__(self, "power_groups", groups)
         frozen = {}
         for key, vec in self.channels.items():
             arr = np.array(vec, dtype=np.complex128)
             arr.flags.writeable = False
-            frozen[(str(key[0]), int(key[1]))] = arr
+            frozen[key] = arr
         object.__setattr__(self, "channels", frozen)
         _check_structure(self)
 
@@ -117,19 +118,15 @@ class Scenario:
                 f"to receiver {receiver}"
             ) from None
 
-    def channels_for(self, tid: str) -> list[np.ndarray]:
-        """Channel vectors from one transmitter to receivers 1..K, in order."""
-        return [self.channel(tid, r) for r in self.receivers]
-
-
-def _is_count(x) -> bool:
-    """Whether x is a Python int; bool, float and str counts are refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    def channels_for(self, tid: str) -> np.ndarray:
+        """Read-only (K, N) channel matrix of one transmitter, row r - 1 to receiver r."""
+        h = np.stack([self.channel(tid, r) for r in self.receivers])
+        h.flags.writeable = False
+        return h
 
 
 def _check_structure(s: Scenario) -> None:
-    if not _is_count(s.n_receivers):
-        raise ScenarioFormatError(f"receivers: must be an integer, got {s.n_receivers!r}")
+    """Check ranges and cross-references; scenario_from_dict checks types."""
     if s.n_receivers < 1:
         raise ScenarioFormatError("receivers: must be >= 1")
     if not math.isfinite(s.noise_power) or s.noise_power <= 0:
@@ -140,25 +137,15 @@ def _check_structure(s: Scenario) -> None:
     key_dims = {}
     for i, t in enumerate(s.transmitters):
         path = f"transmitters[{i}]"
-        for name, value in (("id", t.tid), ("channel_key", t.channel_key)):
-            if not isinstance(value, str):
-                raise ScenarioFormatError(f"{path}.{name}: must be a string, got {value!r}")
         if t.tid in seen:
             raise ScenarioFormatError(f"{path}.id: duplicate id {t.tid!r}")
         seen.add(t.tid)
-        if not _is_count(t.n_antennas):
-            raise ScenarioFormatError(f"{path}.antennas: must be an integer, got {t.n_antennas!r}")
         if t.n_antennas < 1:
             raise ScenarioFormatError(f"{path}.antennas: must be >= 1")
         if not t.intended:
             raise ScenarioFormatError(
                 f"{path}.intended: must contain at least one receiver "
                 "(the direction vector would be all -1)"
-            )
-        odd = sorted(repr(r) for r in t.intended if not _is_count(r))
-        if odd:
-            raise ScenarioFormatError(
-                f"{path}.intended: receivers must be integers, got {', '.join(odd)}"
             )
         bad = [r for r in t.intended if not 1 <= r <= s.n_receivers]
         if bad:
@@ -274,24 +261,58 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _expect(ok: bool, path: str, what: str, value) -> None:
+    if not ok:
+        raise ScenarioFormatError(f"{path}: must be {what}, got {value!r}")
+
+
+def _is_count(x) -> bool:
+    """Whether x is a JSON integer: a Python int, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _number(path: str, x) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    _expect(isinstance(x, (int, float)) and not isinstance(x, bool), path, "a number", x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ScenarioFormatError(f"{path}: integer outside the float range") from None
+
+
+def _parse_transmitter(path: str, raw) -> TransmitterSpec:
+    _expect(isinstance(raw, dict), path, "an object", raw)
+    for k in ("id", "antennas", "intended"):
+        if k not in raw:
+            raise ScenarioFormatError(f"{path}.{k}: missing")
+    tid, antennas, intended = raw["id"], raw["antennas"], raw["intended"]
+    key = raw.get("channel_key", tid)
+    _expect(isinstance(tid, str), f"{path}.id", "a string", tid)
+    _expect(isinstance(key, str), f"{path}.channel_key", "a string", key)
+    _expect(_is_count(antennas), f"{path}.antennas", "an integer", antennas)
+    _expect(isinstance(intended, list), f"{path}.intended", "a list", intended)
+    for j, r in enumerate(intended):
+        _expect(_is_count(r), f"{path}.intended[{j}]", "an integer", r)
+    return TransmitterSpec(tid=tid, n_antennas=antennas, intended=intended, channel_key=key)
+
+
 def _parse_channel_entry(path: str, raw) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise ScenarioFormatError(f"{path}: expected a list of [re, im] pairs")
+    _expect(isinstance(raw, list), path, "a list of [re, im] pairs", raw)
     out = np.zeros(len(raw), dtype=np.complex128)
     for i, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioFormatError(f"{path}[{i}]: expected a [re, im] pair")
-        try:
-            out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ScenarioFormatError(f"{path}[{i}]: entries must be numbers") from None
+        _expect(isinstance(pair, list) and len(pair) == 2, f"{path}[{i}]", "a [re, im] pair", pair)
+        out[i] = complex(_number(f"{path}[{i}][0]", pair[0]), _number(f"{path}[{i}][1]", pair[1]))
     return out
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse and validate a scenario document; channels may be absent."""
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("document: expected an object")
+    """Parse and validate a scenario document; channels may be absent.
+
+    The JSON type of every field is checked once, here, before any object
+    is built, with a ScenarioFormatError naming the field path; nothing is
+    cast.  The Scenario then checks ranges and cross-references.
+    """
+    _expect(isinstance(doc, dict), "document", "an object", doc)
     if doc.get("format") != SCENARIO_FORMAT:
         raise ScenarioFormatError(
             f"format: expected {SCENARIO_FORMAT!r}, got {doc.get('format')!r}"
@@ -299,29 +320,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for fieldname in ("receivers", "noise_power", "transmitters", "power_groups"):
         if fieldname not in doc:
             raise ScenarioFormatError(f"{fieldname}: missing")
-    transmitters = []
+    _expect(_is_count(doc["receivers"]), "receivers", "an integer", doc["receivers"])
+    noise = _number("noise_power", doc["noise_power"])
     raw_txs = doc["transmitters"]
-    if not isinstance(raw_txs, list):
-        raise ScenarioFormatError("transmitters: expected a list")
-    for i, raw in enumerate(raw_txs):
-        path = f"transmitters[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        for k in ("id", "antennas", "intended"):
-            if k not in raw:
-                raise ScenarioFormatError(f"{path}.{k}: missing")
-        if not isinstance(raw["intended"], list):
-            raise ScenarioFormatError(f"{path}.intended: expected a list")
-        transmitters.append(
-            TransmitterSpec(
-                tid=raw["id"],
-                n_antennas=raw["antennas"],
-                intended=raw["intended"],
-                channel_key=raw.get("channel_key"),
-            )
-        )
+    _expect(isinstance(raw_txs, list), "transmitters", "a list", raw_txs)
+    transmitters = [_parse_transmitter(f"transmitters[{i}]", raw) for i, raw in enumerate(raw_txs)]
+    groups = doc["power_groups"]
+    _expect(isinstance(groups, list), "power_groups", "a list", groups)
+    for i, group in enumerate(groups):
+        _expect(isinstance(group, list), f"power_groups[{i}]", "a list", group)
+        for j, tid in enumerate(group):
+            _expect(isinstance(tid, str), f"power_groups[{i}][{j}]", "a string", tid)
+    raw_channels = doc.get("channels", {})
+    _expect(isinstance(raw_channels, dict), "channels", "an object", raw_channels)
     channels = {}
-    for key_str, raw in doc.get("channels", {}).items():
+    for key_str, raw in raw_channels.items():
         try:
             ckey, recv = key_str.rsplit("/", 1)
             recv = int(recv)
@@ -330,18 +343,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"channels[{key_str}]: key must look like '<channel_key>/<receiver>'"
             ) from None
         channels[(ckey, recv)] = _parse_channel_entry(f"channels[{key_str}]", raw)
-    try:
-        return Scenario(
-            transmitters=tuple(transmitters),
-            n_receivers=doc["receivers"],
-            noise_power=float(doc["noise_power"]),
-            power_groups=tuple(tuple(g) for g in doc["power_groups"]),
-            channels=channels,
-        )
-    except ScenarioFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+    return Scenario(
+        transmitters=transmitters,
+        n_receivers=doc["receivers"],
+        noise_power=noise,
+        power_groups=groups,
+        channels=channels,
+    )
 
 
 def save_scenario(s: Scenario, path) -> None:

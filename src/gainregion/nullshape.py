@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import RANK_RTOL, as_cvec, eig_tolerance
+from .linalg import RANK_RTOL, as_channels, as_cvec, eig_tolerance
 from .region import (
     boundary_eigensystem,
     boundary_strategy,
@@ -34,15 +34,14 @@ __all__ = [
 ]
 
 
-def _ranges(vecs, lam: np.ndarray, e: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
+def _ranges(h, lam: np.ndarray, e: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
     """Half-open 0-based low and high constraint ranges: the first
     |unintended| positions and N - |intended| .. N - 2; refuses N < K."""
-    if not (len(vecs) == lam.size == e.size):
+    k, n = h.shape
+    if not (k == lam.size == e.size):
         raise ValueError(
-            f"length mismatch: {len(vecs)} channels, {lam.size} weights, {e.size} directions"
+            f"length mismatch: {k} channels, {lam.size} weights, {e.size} directions"
         )
-    n = vecs[0].size
-    k = len(vecs)
     if n < k:
         raise ValueError(f"null shaping needs n_antennas >= receivers, got {n} < {k}")
     n_in = int(np.sum(e == 1))
@@ -64,11 +63,11 @@ def null_constraints(channels, lam, e) -> np.ndarray:
     ordered as that limit orders them, so the complement of the
     constraints holds the top eigenvector that boundary_strategy uses.
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     lam = check_simplex_weight(lam)
     e = check_direction(e)
-    low, high = _ranges(vecs, lam, e)
-    es = boundary_eigensystem(vecs, lam, e)
+    low, high = _ranges(h, lam, e)
+    es = boundary_eigensystem(h, lam, e)
     cols = np.hstack([es.vectors[:, low[0] : low[1]], es.vectors[:, high[0] : high[1]]])
     cols.flags.writeable = False
     return cols
@@ -104,20 +103,16 @@ def verify_gain_equivalence(channels, lam, e, probes: int = 50, seed: int = 0) -
     1e-9 times the probe's maximum achievable gain, so vanishing gains do
     not inflate the ratio.
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     e = check_direction(e)
-    w_proj = projected_mrt(null_constraints(vecs, lam, e), vecs[int(np.argmax(e == 1))])
-    v_top = boundary_strategy(vecs, lam, e).direction
-    rng = np.random.default_rng(seed)
-    n = vecs[0].size
-    probe_list = []
-    for _ in range(probes):
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probe_list.append(g / np.linalg.norm(g))
-    probe_list.extend(vecs)
-    bound = np.real([np.vdot(g, g) for g in probe_list])
-    a = unit_gains(probe_list, w_proj)
-    b = unit_gains(probe_list, v_top)
+    w_proj = projected_mrt(null_constraints(h, lam, e), h[int(np.argmax(e == 1))])
+    v_top = boundary_strategy(h, lam, e).direction
+    # Each probe draws its N real parts, then its N imaginary parts.
+    z = np.random.default_rng(seed).standard_normal((probes, 2, h.shape[1]))
+    probe_rows = np.vstack([*(g / np.linalg.norm(g) for g in z[:, 0] + 1j * z[:, 1]), h])
+    bound = np.real([np.vdot(g, g) for g in probe_rows])
+    a = unit_gains(probe_rows, w_proj)
+    b = unit_gains(probe_rows, v_top)
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-9 * bound)))
 
 
@@ -133,25 +128,19 @@ def eigenvalue_structure(channels, lam, e) -> dict:
     <= tau; 0 if empty); and ``annihilation``, the worst |h^H v| / |h| of
     the middle-block eigenvectors v over channels h with positive weight.
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     lam = check_simplex_weight(lam)
     e = check_direction(e)
-    (_, mid_lo), (mid_hi, _) = _ranges(vecs, lam, e)
-    es = boundary_eigensystem(vecs, lam, e)
+    (_, mid_lo), (mid_hi, _) = _ranges(h, lam, e)
+    es = boundary_eigensystem(h, lam, e)
     tau = eig_tolerance(es.values)
     low = es.values[:mid_lo]
     middle = es.values[mid_lo:mid_hi]
-    annihilation = 0.0
-    for i in range(mid_lo, mid_hi):
-        v = es.vectors[:, i]
-        for weight, h in zip(lam, vecs):
-            if weight > 0.0:
-                annihilation = max(
-                    annihilation, abs(np.vdot(h, v)) / np.linalg.norm(h)
-                )
+    middle_vectors = es.vectors[:, mid_lo:mid_hi].T
+    overlaps = [abs(np.vdot(c, v)) / np.linalg.norm(c) for v in middle_vectors for c in h[lam > 0]]
     return {
         "tau": tau,
         "low_max": float(low.max()) if low.size else float("-inf"),
         "middle_absmax": float(np.abs(middle).max()) if middle.size else 0.0,
-        "annihilation": annihilation,
+        "annihilation": float(max(overlaps, default=0.0)),
     }

@@ -17,8 +17,9 @@ full/free/zero -> power rule for both, is the only home of FREE power.
 ``sweep_boundary`` refuses grids and fan-outs of more rows than
 ``DEFAULT_POINT_BUDGET`` before building them.
 
-Channel lists here are plain sequences indexed 0-based; the network layer
-maps receivers 1..K onto positions 0..K-1.
+A transmitter's channels are one (K, N) matrix (``linalg.as_channels``);
+the network layer maps receivers 1..K onto rows 0..K-1.  ``unit_gains`` is
+the one gain evaluator, for the table and the scalar oracle alike.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .linalg import (
     RANK_RTOL,
     EigenSystem,
+    as_channels,
     as_cvec,
     eig_hermitian,
     eig_tolerance,
@@ -215,12 +217,12 @@ def boundary_eigensystem(channels, lam, e) -> EigenSystem:
     """
     lam = check_simplex_weight(lam)
     e = check_direction(e)
-    vecs = [as_cvec(h) for h in channels]
-    es = eig_hermitian(weighted_combination(vecs, lam, e))
+    h = as_channels(channels)
+    es = eig_hermitian(weighted_combination(h, lam, e))
     blocks = tied_blocks(es.values)
     if blocks:
         # Z_u - Z = sum (1/K - lam_l) e_l h_l h_l^H
-        es = split_ties(es, blocks, weighted_combination(vecs, 1.0 / lam.size - lam, e), vecs)
+        es = split_ties(es, blocks, weighted_combination(h, 1.0 / lam.size - lam, e), h)
     return es
 
 
@@ -272,15 +274,13 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
 
 def unit_gains(channels, w) -> np.ndarray:
     """Unit-power gains |w^H h_l|^2 of a beamformer (N,) at every channel,
-    or of beamformer rows (G, N) as (G, K); one np.vdot per gain."""
+    or of beamformer rows (G, N) as (G, K).  A hypot squared by float_power
+    gives each gain the bits of the scalar abs(dot) ** 2, alone or stacked."""
     rows = np.asarray(w, dtype=np.complex128)
-    if rows.ndim == 1:
-        return unit_gains(channels, as_cvec(rows)[None, :])[0]
-    if rows.ndim != 2 or not np.isfinite(rows).all():
+    if rows.ndim not in (1, 2) or not np.isfinite(rows).all():
         raise ValueError(f"expected finite beamformer rows, got shape {rows.shape}")
-    vecs = [as_cvec(h) for h in channels]
-    gains = [abs(np.vdot(r, h)) ** 2 for r in rows for h in vecs]
-    return np.array(gains, dtype=float).reshape(len(rows), len(vecs))
+    d = np.vecdot(rows[..., None, :], as_channels(channels))
+    return np.float_power(np.hypot(d.real, d.imag), 2.0)
 
 
 def strategy_gains(channels, strategy: BoundaryStrategy) -> np.ndarray:
@@ -304,14 +304,14 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
     row can change.  Every row's direction, class and gains are bitwise
     those of boundary_strategy and unit_gains at its weights alone.
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     e = check_direction(e)
     grid = check_simplex_weight(grid)
-    directions = np.empty((len(grid), vecs[0].size), dtype=np.complex128)
+    directions = np.empty((len(grid), h.shape[1]), dtype=np.complex128)
     classes = np.empty(len(grid), dtype=object)
     for start in range(0, len(grid), _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        stack = eig_hermitian(weighted_combination(vecs, grid[rows], e))
+        stack = eig_hermitian(weighted_combination(h, grid[rows], e))
         values = stack.values
         directions[rows] = stack.vectors[..., -1]
         classes[rows] = _power_class(values)
@@ -319,8 +319,8 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
         # eig_tolerance of values[:, -1] (never for N = 1)
         top_block = values >= (values[:, -1] - eig_tolerance(values))[:, None]
         for g in start + np.flatnonzero(np.count_nonzero(top_block, axis=1) > 1):
-            directions[g] = boundary_strategy(vecs, grid[g], e).direction
-    return directions, classes, unit_gains(vecs, directions)
+            directions[g] = boundary_strategy(h, grid[g], e).direction
+    return directions, classes, unit_gains(h, directions)
 
 
 def needs_power_control(n_antennas: int, e) -> bool:
@@ -350,19 +350,19 @@ def sweep_boundary(
     More grid rows, or more rows after the fan-out, than
     ``DEFAULT_POINT_BUDGET`` are refused before they are built.
     """
-    vecs = [as_cvec(h) for h in channels]
+    h = as_channels(channels)
     e = check_direction(e)
-    if len(vecs) != e.size:
-        raise ValueError(f"{len(vecs)} channels but direction has {e.size} entries")
+    if len(h) != e.size:
+        raise ValueError(f"{len(h)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
-    _check_budget(simplex_grid_size(len(vecs), step), "grid rows")
-    grid = simplex_grid(len(vecs), step)
-    _, classes, unit = boundary_table(vecs, grid, e)
+    _check_budget(simplex_grid_size(len(h), step), "grid rows")
+    grid = simplex_grid(len(h), step)
+    _, classes, unit = boundary_table(h, grid, e)
     rows = np.arange(len(grid))
     levels = 1.0
     free = classes == PowerClass.FREE
-    n_free = int(np.count_nonzero(free)) if needs_power_control(vecs[0].size, e) else 0
+    n_free = int(np.count_nonzero(free)) if needs_power_control(h.shape[1], e) else 0
     if n_free:
         _check_budget(len(grid) + n_free * (p_free_samples - 1), "rows after the free fan-out")
         rows = np.repeat(rows, np.where(free, p_free_samples, 1))
@@ -404,8 +404,8 @@ def full_power_completion(p, channels, target: int) -> np.ndarray:
     receivers and linearly independent channels.
     """
     q = np.asarray(p, dtype=np.complex128)
-    vecs = [as_cvec(h) for h in channels]
-    n, k = vecs[0].size, len(vecs)
+    h = as_channels(channels)
+    k, n = h.shape
     if not 0 <= target < k:
         raise ValueError(f"target must be in 0..{k - 1}, got {target}")
     if q.shape != (n, n):
@@ -415,11 +415,10 @@ def full_power_completion(p, channels, target: int) -> np.ndarray:
     trace = float(np.trace(q).real)
     if trace >= 1.0 - 1e-12:
         raise ValueError("already full power (trace >= 1)")
-    others = [v for i, v in enumerate(vecs) if i != target]
-    proj = projector_complement(others, dim=n)
-    d = proj @ vecs[target]
+    proj = projector_complement(np.delete(h, target, axis=0), dim=n)
+    d = proj @ h[target]
     nd2 = float(np.real(np.vdot(d, d)))
-    if nd2 <= (RANK_RTOL * np.linalg.norm(vecs[target])) ** 2:
+    if nd2 <= (RANK_RTOL * np.linalg.norm(h[target])) ** 2:
         raise ValueError("projected target channel is numerically zero")
     return q + (1.0 - trace) * np.outer(d, d.conj()) / nd2
 

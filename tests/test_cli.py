@@ -331,19 +331,34 @@ def test_unknown_transmitter_prints_the_message(tmp_path, capsys):
                       "--step", "0.5"], ("receivers", 3.5), "receivers", id="receivers-float"),
         pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
                      ("intended", [1.9]), "transmitters[0].intended", id="intended-float"),
+        *[
+            pytest.param(["sweep-gain", "--scenario", "{scen}", "--transmitter", "1",
+                          "--step", "0.5"], edit, message, id=name)
+            for name, edit, message in [
+                ("intended-nested", ("intended", [[1]]), "transmitters[0].intended[0]:"),
+                ("channels-list", ("channels", []), "channels:"),
+                ("channel-text", ("channels", {"1/1": [["1", 0], [0, 0]]}), "channels[1/1][0][0]:"),
+                ("groups-int", ("power_groups", 5), "power_groups:"),
+                ("groups-text", ("power_groups", "123"), "power_groups:"),
+                ("groups-ints", ("power_groups", [[1], [2], [3]]), "power_groups[0][0]:"),
+                ("noise-text", ("noise_power", "1"), "noise_power:"),
+                ("noise-bool", ("noise_power", True), "noise_power:"),
+            ]
+        ],
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, argv, edit, message):
-    # Counts that are not integers, an SNR whose noise power leaves the
-    # float range and a step whose reciprocal overflows are all refused
-    # by name, not truncated, overflowed or refused later under another name.
+    # Counts that are not integers, document fields of another JSON type,
+    # an SNR whose noise power leaves the float range and a step whose
+    # reciprocal overflows are all refused by name, not truncated, cast,
+    # overflowed or refused later under another name.
     scen = tmp_path / "ic.json"
     assert run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
                "--seed", "1", "--out", str(scen)) == 0
     if edit is not None:
         doc = json.loads(scen.read_text())
         name, value = edit
-        (doc if name == "receivers" else doc["transmitters"][0])[name] = value
+        (doc if name in doc else doc["transmitters"][0])[name] = value
         scen.write_text(json.dumps(doc))
     capsys.readouterr()
     out = tmp_path / "out"

@@ -1,5 +1,10 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainregion.network import (
     Scenario,
@@ -11,6 +16,7 @@ from gainregion.network import (
     load_scenario,
     mixed_skeleton,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
     snr_to_noise,
 )
@@ -157,3 +163,68 @@ def test_mixed_skeleton_receiver_sets():
     assert (t11.intended, t12.intended, t2.intended) == ({1}, {2}, {2, 3})
     assert s.power_groups == (("11", "12"), ("2",))
     assert t11.channel_key == t12.channel_key == "1"
+
+
+# A value of each JSON type, as json.load returns them.
+_JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.one_of(st.integers(), st.floats(), st.just(10**400)),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(0, 3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _json_type(value) -> str:
+    for name, kind in (("null", type(None)), ("boolean", bool), ("number", (int, float)),
+                       ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, kind):
+            return name
+    raise TypeError(value)
+
+
+def _field_keys(value, keys=()):
+    """Access path of every value below the document root."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    out = []
+    for k, child in children:
+        out += [keys + (k,)] + _field_keys(child, keys + (k,))
+    return out
+
+
+def _field_path(keys) -> str:
+    """The path a ScenarioFormatError names: transmitters[0].intended[1],
+    channels[1/2][0][1], power_groups[0][0]."""
+    path = keys[0]
+    for k in keys[1:]:
+        bracketed = isinstance(k, int) or (keys[0] == "channels" and path == "channels")
+        path += f"[{k}]" if bracketed else f".{k}"
+    return path
+
+
+_SMALL = generate_channels(4, mixed_skeleton(antennas=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_field_of_another_json_type_loads_the_same_or_is_refused_by_path(data):
+    # One field of a valid document swapped for a value of another JSON type
+    # loads to the same scenario or is refused by a ScenarioFormatError that
+    # names that field; never cast, never another exception.
+    doc = scenario_to_dict(_SMALL)
+    keys = data.draw(st.sampled_from(_field_keys(doc)))
+    parent = functools.reduce(operator.getitem, keys[:-1], doc)
+    kind = _json_type(parent[keys[-1]])
+    parent[keys[-1]] = data.draw(st.one_of(*[v for k, v in _JSON_VALUES.items() if k != kind]))
+    try:
+        loaded = scenario_from_dict(doc)
+    except ScenarioFormatError as exc:
+        assert str(exc).startswith(_field_path(keys) + ":"), (keys, str(exc))
+    else:
+        assert scenario_to_dict(loaded) == scenario_to_dict(_SMALL)

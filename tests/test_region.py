@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gainregion import region
 from gainregion.linalg import (
+    as_channels,
     eig_hermitian,
     eig_tolerance,
     outer_product,
@@ -78,6 +79,27 @@ def test_power_gain_of_a_unit_vector_is_below_the_top_eigenvalue(rng):
         assert power_gain(z, u) <= mu_max + 1e-10
 
 
+def test_unit_gains_is_the_per_pair_vdot_bitwise(rng):
+    # unit_gains is the one gain evaluator, stacked; every gain must carry
+    # the bits of the scalar abs(np.vdot(w, h)) ** 2, at every scale, on
+    # strided rows (the eigenvector columns the table reads), and for a
+    # row alone as inside its stack.
+    compared = 0
+    for n, k in itertools.product([1, 2, 3, 4, 5, 8], range(1, 7)):
+        for scale in np.logspace(-6, 5, 12):
+            h = scale * np.array(random_channels(rng, n, k))
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            columns = np.linalg.eigh(g + g.conj().T)[1]  # row j = column j, strided
+            for rows in (columns.T, scale * np.array(random_channels(rng, n, 12))):
+                gains = unit_gains(h, rows)
+                ref = np.array([[abs(np.vdot(w, c)) ** 2 for c in h] for w in rows])
+                assert gains.shape == (len(rows), k)
+                assert np.array_equal(gains, ref), (n, k, scale)
+                assert all(np.array_equal(unit_gains(h, w), r) for w, r in zip(rows, ref))
+                compared += ref.size
+    assert compared == 12 * (23 + 6 * 12) * 21  # scales x rows over all N x sum of K
+
+
 # ------------------------------------------------------------ power rule
 
 
@@ -115,10 +137,26 @@ def test_weights_must_be_finite(rng):
         boundary_strategy(channels, nan, e)
 
 
-@pytest.mark.parametrize("e", [[1.5, -1.9, -1], [1, 0.5, -1], [1, 1.0000001]])
-def test_check_direction_refuses_entries_other_than_plus_or_minus_one(e):
-    with pytest.raises(ValueError, match=r"entries must be \+-1"):
-        region.check_direction(e)
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        pytest.param(region.check_direction, [1.5, -1.9, -1], r"entries must be \+-1", id="e0"),
+        pytest.param(region.check_direction, [1, 0.5, -1], r"entries must be \+-1", id="e1"),
+        pytest.param(region.check_direction, [1, 1.0000001], r"entries must be \+-1", id="e2"),
+        # A channel set is refused in as_channels, the one place it is checked.
+        pytest.param(as_channels, [[1.0, 0.0], [1.0]], "inhomogeneous", id="channels-ragged"),
+        pytest.param(as_channels, [["1", 0.0]], "numeric", id="channels-text"),
+        pytest.param(as_channels, [], r"nonempty numeric \(K, N\)", id="channels-none"),
+        pytest.param(as_channels, np.zeros((2, 0)), r"got float64 \(2, 0\)", id="channels-empty"),
+        pytest.param(as_channels, [1.0, 0.0], r"got float64 \(2,\)", id="channels-vector"),
+        pytest.param(as_channels, np.ones((2, 2, 2)), r"got float64 \(2, 2, 2\)", id="channels-3d"),
+        pytest.param(as_channels, [[1.0, np.inf]], "non-finite", id="channels-inf"),
+    ],
+)
+def test_check_direction_refuses_entries_other_than_plus_or_minus_one(check, value, message):
+    # Each per-transmitter input check refuses a malformed entry by name.
+    with pytest.raises(ValueError, match=message):
+        check(value)
 
 
 def test_check_direction_accepts_integral_floats():
