@@ -9,16 +9,18 @@ CSV writer contract: every decimal value is printed with 17 significant
 digits, and its bytes are exactly those of ``format(x, ".17g")``.  Both
 sweeps hand the writer columns (``sweep_boundary``'s weights, powers,
 classes and gains; a ``UtilitySweep``'s parameter axes and utilities),
-never per-row objects.  Rows are written in blocks of ``_WRITE_BLOCK``,
-each formatted with one ``%``-template per row and written as one string,
-so the writer holds at most one block of rows in memory, never the whole
-table.  ``sweep-rates`` formats each row of each parameter axis once, as
-the ``%.17g`` fields of its columns joined by commas, and per block
-gathers those strings by the rows' axis indices; only the utilities are
-formatted per row.  ``sweep-gain`` stacks each block's column slices and
-formats every value per row, because a boundary table's weight rows are
-distinct (only a FREE row's power samples repeat one), so a table of
-strings would save nothing.
+never per-row objects.  Rows are formatted and written in blocks of
+``_WRITE_BLOCK``, so the writer holds one block of rows in memory, never
+the whole table; a larger block would cut the fixed cost of each kernel
+call and raise peak memory.  ``_format17`` is the kernel: it formats a
+block's floats with array operations, calling format() only for values
+outside fixed notation.  Each field is a NUL-padded uint8 row followed by
+its separator, and a block is written as one ``bytes``: its fields side by
+side, without the padding.  ``sweep-rates`` formats each row of each
+parameter axis once and per block gathers those rows by the rows' axis
+indices, so only the utilities go through the kernel per block.
+``sweep-gain`` formats each block's weights and power, and its gains, in
+two kernel calls, and gathers each row's power class from its label.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -26,6 +28,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -44,30 +47,182 @@ from .network import (
     snr_to_noise,
 )
 from .pareto import UtilitySpec, pareto_filter, sweep_utility_region
-from .region import DEFAULT_POINT_BUDGET, sweep_boundary
+from .region import DEFAULT_POINT_BUDGET, PowerClass, sweep_boundary
 from .verify import run_suite, suite_names
 
 TEMPLATES = ("ic", "mixed")
-_WRITE_BLOCK = 256  # rows per write; larger blocks only raise peak memory
+_WRITE_BLOCK = 256  # rows per kernel call and per write
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _row_template(fields) -> str:
-    """Line template with one ``%`` field per column, e.g. ``"%.17g,%s\\n"``."""
-    return ",".join(fields) + "\n"
+# The %.17g kernel.  For 1e-4 <= |x| < 1e16, format(x, ".17g") is fixed
+# notation: the 17 significant digits of |x|, rounded half to even, with the
+# point after the digit of 10**E (E = floor(log10|x|)), then trailing zeros
+# and a bare point stripped.  _format17 finds E and those digits exactly on
+# whole arrays and lays out each value's bytes in three little-endian 64-bit
+# words, byte c of the 24 being column c.  format() prints every other value.
+#
+# Its tables are built at its first call, from Python lists and with the
+# array operations it runs anyway.  Built after the sweep, they can reuse
+# memory it freed (built at import, they raised the front-4d and cloud-write
+# benchmark peaks by 0.15-0.25 MiB), and each other dtype's loops would add
+# resident pages of numpy's code (about 0.4 MiB when built in uint16 and int8).
+_WORD = np.dtype("<u8")
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for Dekker's exact product
+# Indices of the first digits of chunks 0 and 2, and of chunks 1 and 3 (see _tables).
+_HIGH_FIRST = np.array([[1], [9]])
+_LOW_FIRST = np.array([[5], [13]])
 
 
-def _write_point_cloud(path, meta: dict, columns, template: str, blocks) -> None:
-    """Write the metadata, the header and each block of row tuples with ``template``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
+def _veltkamp(b: float) -> tuple:
+    high = _SPLIT * b - (_SPLIT * b - b)
+    return b, high, b - high
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The kernel's read-only tables ``(decades, fixed, scale, quad, last, layout, shift)``.
+
+    ``searchsorted(decades, |x|, "right")`` is the decade slot g of |x|.
+    ``decades[i]`` is the smallest double >= 10**(i - 4), which for every i
+    here is float("1e{i-4}"), so the slot is exact: E = g - 5 on the fixed
+    slots 1..20, where ``fixed`` is true; slot 0 holds zero and |x| < 1e-4,
+    slot 21 |x| >= 1e16.  Column g of ``scale`` is 10**(21 - g), which
+    scales slot g into [1e16, 1e17), and its Veltkamp halves.
+
+    The 17 digits are a lead digit and four 4-digit chunks; chunk k holds
+    digits 4k+1..4k+4.  ``quad[c]`` holds the ASCII of c < 10000 as 4 digits
+    in its low 4 bytes, and ``last[c]`` is the index of the last nonzero one
+    of them, or -100 for c = 0.
+
+    Column ``17 * g + j`` of ``layout`` holds 3 words each of a template, an
+    integer-digit mask and a fraction-digit mask, for slot g when digit j is
+    the last nonzero one.  The template has the fixed bytes (``0.000``'s
+    zeros, the point), and the masks select the columns of the integer
+    digits and of the fraction's digits up to digit j.  ``shift[g]`` is how
+    far right of column 0, in bits, slot g puts digit 0 in the fraction.
+    """
+    decades = np.array([float(f"1e{m}") for m in range(-4, 17)])
+    fixed = np.array([0 < g < 21 for g in range(22)])
+    scale = np.array([_veltkamp(float(10**k)) for k in range(21, -1, -1)]).T.copy()
+    pairs = np.array([int.from_bytes(f"{i:02d}".encode(), "little") for i in range(100)], _WORD)
+    quad = (pairs[:, None] | pairs << 16).ravel()
+    pair_last = np.array([1 if i % 10 else 0 if i else -100 for i in range(100)])
+    last = np.where(np.arange(100) > 0, 2 + pair_last, pair_last[:, None]).ravel()
+    table = np.zeros((22, 17, 3, 24), np.uint8)
+    shift = np.zeros(22, _WORD)
+    for g in range(22):
+        e = g - 5 if fixed[g] else 0
+        start = 1 + max(-e, 0)
+        shift[g] = 8 * start
+        for j in range(17):
+            template, int_mask, frac_mask = table[g, j]
+            if not fixed[g]:
+                template[0] = ord("0")  # zero; format() overwrites the rest
+            elif e >= 0:
+                int_mask[: e + 1] = 0xFF
+                if j > e:
+                    template[e + 1] = ord(".")
+                    frac_mask[start + e + 1 : start + j + 1] = 0xFF
+            else:
+                template[:start] = ord("0")
+                template[1] = ord(".")
+                frac_mask[start : start + j + 1] = 0xFF
+    layout = table.view(_WORD).reshape(22 * 17, 9).T.copy()
+    out = (decades, fixed, scale, quad, last, layout, shift)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _shift_right(words, bits):
+    """Move each value's bytes ``bits // 8`` columns right; 0 < bits < 64."""
+    out = words << bits
+    out[1:] |= words[:-1] >> (64 - bits)
+    return out
+
+
+def _format17(values) -> np.ndarray:
+    """``format(x, ".17g")`` of every float in ``values``, as bytes of dtype S."""
+    decades, fixed, scale, quad, last_digit, layouts, fraction_shift = _tables()
+    x = np.asarray(values, dtype=np.float64)
+    flat = x.ravel()
+    a = np.fmin(np.abs(flat), 1e16)  # puts nan and inf in slot 21
+    g = np.searchsorted(decades, a, side="right")
+    # hi + lo is a * 10**(21 - g) exactly (Dekker's two-product).
+    b, b_hi, b_lo = scale.take(g, axis=1)
+    hi = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # On a fixed slot hi is an even integer in [1e16, 1e17), so rounding lo
+    # half to even rounds hi + lo half to even, as CPython's dtoa does.  The
+    # 17-digit decimals are finer than the doubles there, so no value rounds
+    # up to 1e17.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = n // 10**8
+    lead = top // 10**8
+    halves = np.empty((2, flat.size), np.int64)
+    halves[0] = top - lead * 10**8
+    halves[1] = n - top * 10**8
+    high = halves // 10**4
+    low = halves - high * 10**4
+    last = np.maximum(last_digit.take(high) + _HIGH_FIRST, last_digit.take(low) + _LOW_FIRST)
+    last = last.max(axis=0, initial=0)
+    digits = np.empty((3, flat.size), _WORD)  # lead digit at column 7, chunks at 8..23
+    digits[0] = quad.take(lead) << 32  # "000d" at columns 4..7
+    digits[1:] = quad.take(high) | quad.take(low) << 32
+    int_digits = digits >> 56  # lead digit at column 0
+    int_digits[:-1] |= digits[1:] << 8
+    frac_digits = _shift_right(int_digits, fraction_shift.take(g))
+    layout = layouts.take(17 * g + last, axis=1)
+    out = layout[0:3] | (int_digits & layout[3:6]) | (frac_digits & layout[6:9])
+    negative = np.signbit(flat)
+    if negative.any():
+        signed = _shift_right(out, 8)
+        signed[0] |= ord("-")
+        out = np.where(negative, signed, out)
+    text = out.T.copy().view("S24").ravel()
+    other = np.flatnonzero(~fixed.take(g) & (flat != 0))
+    if other.size:
+        text[other] = [format(v, ".17g").encode() for v in flat[other].tolist()]
+    return text.reshape(x.shape)
+
+
+def _fields(values, end=b",") -> np.ndarray:
+    """Rows of 2-D float ``values`` as NUL-padded uint8 rows of text.
+
+    Each value's ``%.17g`` bytes are followed by "," (the row's last by
+    ``end``); ``_csv_bytes`` drops the NUL padding after each value.
+    """
+    text = _format17(values).view(np.uint8).reshape(*values.shape, -1)
+    ends = np.full((values.shape[1], 1), ord(","), np.uint8)
+    ends[-1] = ord(end)
+    ends = np.broadcast_to(ends, (*values.shape, 1))
+    return np.concatenate([text, ends], axis=2).reshape(len(values), -1)
+
+
+def _write_csv(path, meta: dict, columns, blocks) -> None:
+    """Write the metadata, the header and each block of rows.
+
+    A block is a list of uint8 arrays with one row per CSV row; a row's
+    bytes are theirs side by side, without the NUL padding.
+    """
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    with open(path, "wb") as fh:
+        fh.write((head + ",".join(columns) + "\n").encode("utf-8"))
         for block in blocks:
-            fh.write("".join([template % row for row in block]))
+            fh.write(_csv_bytes(block))
+
+
+def _csv_bytes(block) -> bytes:
+    """The bytes of uint8 arrays' rows side by side, without NUL padding."""
+    text = np.concatenate(block, axis=-1)
+    return text[text != 0].tobytes()
 
 
 def _parse_direction(text: str, k: int) -> np.ndarray:
@@ -133,15 +288,20 @@ def cmd_sweep_gain(args) -> int:
         "rows": len(power),
     }
 
-    template = _row_template(["%.17g"] * (k + 1) + ["%s"] + ["%.17g"] * k)
+    labels = np.array([f"{c.value},".encode() for c in PowerClass]).view(np.uint8)
+    labels = labels.reshape(len(PowerClass), -1)
 
     def blocks():
         for start in range(0, len(power), _WRITE_BLOCK):
             rows = slice(start, start + _WRITE_BLOCK)
-            numbers = np.column_stack([lam[rows], power[rows], gains[rows]]).tolist()
-            yield [(*x[: k + 1], c.value, *x[k + 1 :]) for x, c in zip(numbers, classes[rows])]
+            kind = np.select([classes[rows] == c for c in PowerClass], range(len(PowerClass)))
+            yield [
+                _fields(np.column_stack([lam[rows], power[rows]])),
+                labels.take(kind, axis=0),
+                _fields(gains[rows], b"\n"),
+            ]
 
-    _write_point_cloud(args.out, meta, columns, template, blocks())
+    _write_csv(args.out, meta, columns, blocks())
     print(f"wrote {args.out}: {len(power)} rows, K={k}")
     return 0
 
@@ -165,21 +325,18 @@ def cmd_sweep_rates(args) -> int:
 
     # An axis has few rows (45 per lambda axis of ic 3x3 at step 0.125),
     # each repeated across the grid, so each is formatted once.
-    tables = [
-        np.array([",".join(["%.17g" % v for v in row]) for row in ax.values.tolist()], dtype=object)
-        for ax in sweep.axes
-    ]
-    template = _row_template(["%s"] * len(tables) + ["%.17g"] * len(sweep.utility_columns))
+    tables = [np.array([_csv_bytes([row]) for row in _fields(ax.values)]) for ax in sweep.axes]
 
     def blocks():
         # keep stays a range or a list: an index array over the whole grid
         # would add to peak memory, so only each block's slice becomes one.
         for start in range(0, len(keep), _WRITE_BLOCK):
             idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
-            fields = [t[j].tolist() for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
-            yield zip(*fields, *sweep.utilities[idx].T.tolist())
+            axes = [t.take(j).view(np.uint8).reshape(len(j), -1)
+                    for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
+            yield [*axes, _fields(sweep.utilities[idx], b"\n")]
 
-    _write_point_cloud(args.out, meta, columns, template, blocks())
+    _write_csv(args.out, meta, columns, blocks())
     print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "fix_phase",
     "outer_product",
     "weighted_combination",
+    "combination_scale",
     "check_hermitian",
     "eig_hermitian",
     "eig_tolerance",
@@ -130,10 +131,23 @@ def weighted_combination(channels, weights, directions) -> np.ndarray:
     return z
 
 
-def check_hermitian(z) -> np.ndarray:
+def combination_scale(channels, weights) -> np.ndarray:
+    """Scale sum_l |w_l| ||h_l||^2 of the terms of weighted_combination, for
+    a weight vector (a float) or each row of a (G, K) array of weights.
+
+    Z's rounding residue is relative to its terms, not to Z itself, which
+    cancels far below them where the weighted gains balance: for one
+    antenna, Z vanishes at lam = (|h_2|^2, |h_1|^2) / sum along (+1, -1).
+    """
+    h = as_channels(channels)
+    norms = np.sum(h.real**2 + h.imag**2, axis=1)
+    return np.sum(np.abs(np.asarray(weights, dtype=float)) * norms, axis=-1)
+
+
+def check_hermitian(z, scale=None) -> np.ndarray:
     """Validate a finite square matrix, or a stack (..., N, N), as Hermitian
-    within HERMITIAN_RTOL times each matrix's own largest entry magnitude,
-    so every scale is checked alike."""
+    within HERMITIAN_RTOL times ``scale`` (one per matrix), by default each
+    matrix's own largest entry magnitude, so every scale is checked alike."""
     a = np.asarray(z, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -141,7 +155,8 @@ def check_hermitian(z) -> np.ndarray:
         raise ValueError("zero-dimensional eigenproblem")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    scale = np.abs(a).max(axis=(-2, -1))
+    if scale is None:
+        scale = np.abs(a).max(axis=(-2, -1))
     err = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
     bad = err > HERMITIAN_RTOL * scale
     if bad.any():
@@ -165,15 +180,15 @@ class EigenSystem:
         return self.values.shape[-1]
 
 
-def eig_hermitian(z) -> EigenSystem:
+def eig_hermitian(z, scale=None) -> EigenSystem:
     """Eigendecompose a Hermitian matrix (N, N), or a stack (..., N, N).
 
-    Each matrix takes the same steps: check_hermitian, the symmetrization
-    (a + a^H)/2, its own LAPACK call within one np.linalg.eigh, and
-    fix_phase on each column; so entry g of a stack is bitwise the
-    eigensystem of matrix g alone.
+    Each matrix takes the same steps: check_hermitian (against ``scale``),
+    the symmetrization (a + a^H)/2, its own LAPACK call within one
+    np.linalg.eigh, and fix_phase on each column; so entry g of a stack is
+    bitwise the eigensystem of matrix g alone.
     """
-    a = check_hermitian(z)
+    a = check_hermitian(z, scale)
     sym = (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
     values, vectors = np.linalg.eigh(sym)
     vectors = fix_phase(vectors)

@@ -335,13 +335,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(raw_channels, dict), "channels", "an object", raw_channels)
     channels = {}
     for key_str, raw in raw_channels.items():
-        try:
-            ckey, recv = key_str.rsplit("/", 1)
-            recv = int(recv)
-        except ValueError:
+        ckey, sep, recv_text = key_str.rpartition("/")
+        # int() also reads "01", " 1" and "+1", and each would silently name
+        # the same channel as "1"; only the canonical decimal names a receiver.
+        recv = int(recv_text) if recv_text.isdecimal() else None
+        if not sep or recv is None or str(recv) != recv_text:
             raise ScenarioFormatError(
-                f"channels[{key_str}]: key must look like '<channel_key>/<receiver>'"
-            ) from None
+                f"channels[{key_str}]: key must look like '<channel_key>/<receiver>', "
+                "the receiver in plain decimal"
+            )
         channels[(ckey, recv)] = _parse_channel_entry(f"channels[{key_str}]", raw)
     return Scenario(
         transmitters=transmitters,

@@ -36,6 +36,7 @@ from .linalg import (
     EigenSystem,
     as_channels,
     as_cvec,
+    combination_scale,
     eig_hermitian,
     eig_tolerance,
     outer_product,
@@ -218,7 +219,7 @@ def boundary_eigensystem(channels, lam, e) -> EigenSystem:
     lam = check_simplex_weight(lam)
     e = check_direction(e)
     h = as_channels(channels)
-    es = eig_hermitian(weighted_combination(h, lam, e))
+    es = eig_hermitian(weighted_combination(h, lam, e), combination_scale(h, lam))
     blocks = tied_blocks(es.values)
     if blocks:
         # Z_u - Z = sum (1/K - lam_l) e_l h_l h_l^H
@@ -311,7 +312,8 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
     classes = np.empty(len(grid), dtype=object)
     for start in range(0, len(grid), _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
-        stack = eig_hermitian(weighted_combination(h, grid[rows], e))
+        z = weighted_combination(h, grid[rows], e)
+        stack = eig_hermitian(z, combination_scale(h, grid[rows]))
         values = stack.values
         directions[rows] = stack.vectors[..., -1]
         classes[rows] = _power_class(values)
@@ -450,8 +452,9 @@ def hyperplane_bound(channels, lam, e) -> float:
     For every feasible covariance Q, sum_l lam_l e_l x_l(Q) never exceeds
     this bound; full-class boundary strategies attain it.
     """
-    z = weighted_combination(channels, check_simplex_weight(lam), check_direction(e))
-    es = eig_hermitian(z)
+    lam = check_simplex_weight(lam)
+    z = weighted_combination(channels, lam, check_direction(e))
+    es = eig_hermitian(z, combination_scale(channels, lam))
     return max(0.0, float(es.values[-1]))
 
 

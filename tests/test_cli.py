@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -406,8 +407,46 @@ row_floats = st.one_of(
 @given(st.lists(row_floats, min_size=1, max_size=12), st.booleans())
 def test_whole_row_line_is_the_per_value_format(values, negate):
     values = [-x for x in values] if negate else values
-    line = cli._row_template(["%.17g"] * len(values)) % tuple(values)
-    assert line == per_value_line(values) + "\n"
+    assert cli._format17(values).tolist() == [format(x, ".17g").encode() for x in values]
+    line = cli._csv_bytes([cli._fields(np.array([values]), b"\n")])
+    assert line == (per_value_line(values) + "\n").encode()
+
+
+def _ulps_around(x: float, ulps: int = 2) -> list:
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_format17_is_format_at_edges_and_special_values():
+    # Fixed notation ends at 1e-4 and 1e16, and each power of ten is a
+    # decade edge: the values within 2 ulps of each.
+    edges = [v for k in range(-6, 19) for v in _ulps_around(float(f"1e{k}"))]
+    # Doubles just below a power of ten whose 17-digit rounding carries into
+    # the next decade, all outside fixed notation.
+    decade_carries = [1e-305, 1e-175, 1e-79, 1e-14, 1e98, 1e129, 1e220]
+    for x in decade_carries:
+        assert Decimal(x) < Decimal(format(x, ".17g")), x
+    # Rounding that carries through trailing nines: 0.0019 is the double
+    # 0.0018999999999999999961...
+    digit_carries = [0.0019, 7.859, 13.6, 38.116, 1613.53]
+    special = [
+        0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, 480.0, 1200.0, 100.0, 123.0, 1e6, 1e15, 1e15 + 10,
+        9999999999999998.0, 12345678901234567.0, 1125899906842624.25, 1125899906842624.75,
+        0.5, 0.125, 9.9999999999999991e-5, 1e-4 + 1e-20,
+    ]
+    values = edges + decade_carries + digit_carries + special
+    values = np.array(values + [-v for v in values])
+    expected = [format(v, ".17g").encode() for v in values.tolist()]
+    assert cli._format17(values).tolist() == expected
+    # One value alone, and a 2-D block of the same values, give the same bytes.
+    assert [cli._format17(v).tolist() for v in values] == expected
+    assert cli._format17(values.reshape(2, -1)).ravel().tolist() == expected
 
 
 # gen flags, step and the axis kind each scenario is there for: lambda axes

@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_load_rejects_wrong_format(tmp_path):
     path.write_text('{"format": "other/9"}')
     with pytest.raises(ScenarioFormatError, match="format"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("receiver", ["01", " 1", "+1", "1 ", "\u0661", "-1", "", "x"])
+def test_channel_key_receiver_must_be_plain_decimal(receiver):
+    # int() reads "01", " 1", "+1" and the Arabic-Indic "\u0661" as 1, so
+    # such a key used to replace receiver 1's channel without a word.
+    doc = scenario_to_dict(generate_channels(84, ic_skeleton(3, 2)))
+    doc["channels"][f"1/{receiver}"] = doc["channels"]["2/1"]
+    with pytest.raises(ScenarioFormatError, match=rf"^channels\[1/{re.escape(receiver)}\]: key"):
+        scenario_from_dict(doc)
+    assert "1/1" in doc["channels"]
+    del doc["channels"][f"1/{receiver}"]
+    scenario_from_dict(doc)
+
+
+def test_channel_key_without_a_receiver_is_refused():
+    doc = scenario_to_dict(generate_channels(84, ic_skeleton(3, 2)))
+    doc["channels"]["1"] = doc["channels"].pop("1/1")
+    with pytest.raises(ScenarioFormatError, match=r"^channels\[1\]: key"):
+        scenario_from_dict(doc)
 
 
 def test_mixed_skeleton_receiver_sets():

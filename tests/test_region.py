@@ -176,6 +176,24 @@ def test_boundary_strategy_single_receiver_is_mrt(rng):
     assert gains[0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
 
+def test_single_antenna_weight_where_z_cancels_is_accepted(rng):
+    # For one antenna Z = lam_1 |h_1|^2 - lam_2 |h_2|^2 along (+1, -1), which
+    # cancels at lam = (|h_2|^2, |h_1|^2) / sum down to rounding residue; the
+    # outer products leave it an imaginary part far above 1e-12 of Z itself.
+    e = [1, -1]
+    for _ in range(200):
+        h = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        h *= 10 ** rng.uniform(-3, 3)
+        norms = np.abs(h[:, 0]) ** 2
+        lam = norms[::-1] / norms.sum()
+        ref = boundary_strategy(h, lam, e)
+        directions, classes, _ = boundary_table(h, lam[None, :], e)
+        assert np.array_equal(directions[0], ref.direction) and classes[0] is ref.power_class
+        assert abs(abs(ref.direction[0]) - 1.0) < 1e-15
+        # Every power is optimal there: the supporting hyperplane is at 0.
+        assert hyperplane_bound(h, lam, e) <= 1e-15 * norms.max()
+
+
 def test_boundary_strategy_orthogonal_channels_decouple():
     h1 = np.array([2.0, 0.0])
     h2 = np.array([0.0, 1.0])
