@@ -13,12 +13,22 @@ vectors and are listed together in one power group.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# hashlib is heavy to load: it maps OpenSSL's libcrypto, about 3.5 MiB of a
+# sweep's peak memory, for one digest per run.  Try CPython's own lean
+# module first; some distribution builds ship without it.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 __all__ = [
@@ -195,6 +205,10 @@ def _stream_generator(seed: int, channel_key: str, receiver: int) -> np.random.G
     every channel vector has its own stream: adding receivers or
     transmitters never perturbs existing channels.
     """
+    # Imported here, not at the top: only gen draws channels, and its
+    # numpy.random loads hashlib anyway (through secrets and hmac).
+    import hashlib
+
     tag = f"{int(seed)}|{channel_key}|{int(receiver)}".encode()
     digest = hashlib.blake2b(tag, digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
@@ -372,9 +386,11 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_digest(s: Scenario) -> str:
-    """Short stable hash of the full scenario content."""
+    """Short stable hash of the full scenario content: the first 16 hex
+    digits of the SHA-256 of its sorted-key JSON, the same digest as
+    hashlib.sha256, computed without loading hashlib."""
     blob = json.dumps(scenario_to_dict(s), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def ic_skeleton(users: int, antennas: int, noise_power: float = 1.0) -> Scenario:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    EIG_RTOL,
     RANK_RTOL,
     EigenSystem,
     as_channels,
@@ -169,17 +170,21 @@ def power_rule(z) -> PowerClass:
     """Classify the boundary power allocation from the top eigenvalue of Z.
 
     Full when the top eigenvalue is positive, Zero when negative, Free
-    when it vanishes within tau = linalg.eig_tolerance of the eigenvalues,
-    so the class does not change when Z is scaled.
+    when it vanishes within tau, so the class does not change when Z is
+    scaled.  Z alone carries no scale of its terms, so here tau is
+    linalg.eig_tolerance of its eigenvalues; boundary_strategy and
+    boundary_table, which know the channels and weights, take
+    tau = EIG_RTOL * linalg.combination_scale instead, which is never
+    smaller and also holds where Z cancels far below its terms.
     """
-    return _power_class(eig_hermitian(z).values)
+    values = eig_hermitian(z).values
+    return _power_class(values, eig_tolerance(values))
 
 
-def _power_class(values):
+def _power_class(values, tau):
     """Class of eigenvalues (N,), or an object array of the classes of a
-    stack (..., N); each row is judged against its own eig_tolerance."""
+    stack (..., N), each row's top eigenvalue judged against its tau."""
     mu_max = values[..., -1]
-    tau = eig_tolerance(values)
     # 0 below -tau, 2 above tau, 1 in the band
     return _CLASS_BY_SIGN[(mu_max > tau).astype(np.intp) - (mu_max < -tau) + 1]
 
@@ -261,12 +266,13 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     t -> 0+, u the barycentre, so a face row of a sweep continues the
     interior rows next to it; only if that limit is still tied does the
     span rule pick it.  The power follows class_power for the full/free/zero
-    class of the same top eigenvalue; for the Free class the caller may
-    pick any ``p_free`` in [0, 1] (default 1.0).
+    class of the same top eigenvalue, judged against EIG_RTOL times the
+    combination scale of Z's terms (see power_rule); for the Free class the
+    caller may pick any ``p_free`` in [0, 1] (default 1.0).
     """
     lam = check_simplex_weight(lam)
     es = boundary_eigensystem(channels, lam, e)
-    cls = _power_class(es.values)
+    cls = _power_class(es.values, EIG_RTOL * combination_scale(channels, lam))
     power = class_power(cls, 1.0 if p_free is None else p_free)
     return BoundaryStrategy(
         direction=es.vectors[:, -1].copy(), power=power, lam=lam, power_class=cls
@@ -313,10 +319,11 @@ def boundary_table(channels, grid, e) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for start in range(0, len(grid), _TABLE_BLOCK):
         rows = slice(start, start + _TABLE_BLOCK)
         z = weighted_combination(h, grid[rows], e)
-        stack = eig_hermitian(z, combination_scale(h, grid[rows]))
+        scale = combination_scale(h, grid[rows])
+        stack = eig_hermitian(z, scale)
         values = stack.values
         directions[rows] = stack.vectors[..., -1]
-        classes[rows] = _power_class(values)
+        classes[rows] = _power_class(values, EIG_RTOL * scale)
         # tied_blocks' test on the top pair: values[:, -2] within
         # eig_tolerance of values[:, -1] (never for N = 1)
         top_block = values >= (values[:, -1] - eig_tolerance(values))[:, None]

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,3 +521,36 @@ def test_sweep_gain_free_fan_out_across_a_block_edge(tmp_path):
         for ref in oracle_sweep(channels, e, 0.05, p_free_samples=200)
     ]
     assert data_lines(out) == expected
+
+
+# Runs in a fresh interpreter: the test process has loaded hashlib already.
+# gen is left out: its numpy.random imports secrets, whose hmac loads OpenSSL.
+_NO_OPENSSL_RUN = """
+import sys
+from gainregion import cli
+
+# bench/spans.py wraps these modules' functions after importing cli alone.
+layers = {"gainregion." + m for m in ("network", "region", "linalg", "pareto")}
+assert layers <= sys.modules.keys(), layers - sys.modules.keys()
+scen, d = sys.argv[1:]
+for argv in (
+    ["sweep-gain", "--scenario", scen, "--transmitter", "1", "--step", "0.1",
+     "--out", d + "/gain.csv"],
+    ["sweep-rates", "--scenario", scen, "--step", "0.25", "--out", d + "/rates.csv"],
+    ["sweep-rates", "--scenario", scen, "--step", "0.25", "--filter", "--out", d + "/front.csv"],
+):
+    assert cli.main(argv) == 0, argv
+    assert "_hashlib" not in sys.modules, argv
+"""
+
+
+def test_sweeps_do_not_load_openssl(tmp_path):
+    scen = tmp_path / "ic.json"
+    assert run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
+               "--seed", "5", "--out", str(scen)) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_OPENSSL_RUN, str(scen), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import operator
 import re
 
@@ -17,6 +19,7 @@ from gainregion.network import (
     load_scenario,
     mixed_skeleton,
     save_scenario,
+    scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
     snr_to_noise,
@@ -249,3 +252,21 @@ def test_a_field_of_another_json_type_loads_the_same_or_is_refused_by_path(data)
         assert str(exc).startswith(_field_path(keys) + ":"), (keys, str(exc))
     else:
         assert scenario_to_dict(loaded) == scenario_to_dict(_SMALL)
+
+
+@pytest.mark.parametrize(
+    "skeleton, seed, digest",
+    [(ic_skeleton(3, 2), 21, "3e11b1e377fed330"), (mixed_skeleton(3), 84, "c7c2cff67873c478")],
+)
+def test_scenario_digest_is_the_sha256_of_the_sorted_json(skeleton, seed, digest):
+    s = generate_channels(seed, skeleton)
+    blob = json.dumps(scenario_to_dict(s), sort_keys=True).encode()
+    assert scenario_digest(s) == hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+def test_channel_streams_are_pinned():
+    # blake2b of "seed|key|receiver" keys each channel's Philox stream.
+    ic = generate_channels(21, ic_skeleton(3, 2))
+    assert ic.channels[("1", 1)][0] == complex(0.2514809698970639, 0.664405474870081)
+    mixed = generate_channels(84, mixed_skeleton(3))
+    assert mixed.channels[("2", 3)][2] == complex(0.2025479306077642, 0.3023623794930107)

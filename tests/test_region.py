@@ -190,6 +190,7 @@ def test_single_antenna_weight_where_z_cancels_is_accepted(rng):
         directions, classes, _ = boundary_table(h, lam[None, :], e)
         assert np.array_equal(directions[0], ref.direction) and classes[0] is ref.power_class
         assert abs(abs(ref.direction[0]) - 1.0) < 1e-15
+        assert ref.power_class is PowerClass.FREE
         # Every power is optimal there: the supporting hyperplane is at 0.
         assert hyperplane_bound(h, lam, e) <= 1e-15 * norms.max()
 
