@@ -9,18 +9,24 @@ CSV writer contract: every decimal value is printed with 17 significant
 digits, and its bytes are exactly those of ``format(x, ".17g")``.  Both
 sweeps hand the writer columns (``sweep_boundary``'s weights, powers,
 classes and gains; a ``UtilitySweep``'s parameter axes and utilities),
-never per-row objects.  Rows are formatted and written in blocks of
+never per-row objects.  Rows are formatted and written in blocks of at most
 ``_WRITE_BLOCK``, so the writer holds one block of rows in memory, never
 the whole table; a larger block would cut the fixed cost of each kernel
-call and raise peak memory.  ``_format17`` is the kernel: it formats a
-block's floats with array operations, calling format() only for values
-outside fixed notation.  Each field is a NUL-padded uint8 row followed by
-its separator, and a block is written as one ``bytes``: its fields side by
-side, without the padding.  ``sweep-rates`` formats each row of each
-parameter axis once and per block gathers those rows by the rows' axis
-indices, so only the utilities go through the kernel per block.
-``sweep-gain`` formats each block's weights and power, and its gains, in
-two kernel calls, and gathers each row's power class from its label.
+call and raise peak memory.  Unfiltered ``sweep-rates`` cuts its blocks
+from ``UtilitySweep.slabs()`` as each slab is evaluated (a block ends at a
+slab's end), so it never holds the utility cloud either, only one slab of
+about ``pareto._SLAB_ROWS`` rows; with ``--filter`` the filter reads the
+whole cloud, and each block gathers its kept rows from it.
+
+``_format17`` is the kernel: it formats a block's floats with array
+operations, calling format() only for values outside fixed notation.  Each
+field is a NUL-padded uint8 row followed by its separator, and a block is
+written as one ``bytes``: its fields side by side, without the padding.
+``sweep-rates`` formats each row of each parameter axis once and per block
+gathers those rows by the rows' axis indices, so only the utilities go
+through the kernel per block.  ``sweep-gain`` formats each block's weights
+and power, and its gains, in two kernel calls, and gathers each row's power
+class from its label.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -327,14 +333,26 @@ def cmd_sweep_rates(args) -> int:
     # each repeated across the grid, so each is formatted once.
     tables = [np.array([_csv_bytes([row]) for row in _fields(ax.values)]) for ax in sweep.axes]
 
+    def block(idx, utilities):
+        axes = [t.take(j).view(np.uint8).reshape(len(j), -1)
+                for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
+        return [*axes, _fields(utilities, b"\n")]
+
     def blocks():
-        # keep stays a range or a list: an index array over the whole grid
-        # would add to peak memory, so only each block's slice becomes one.
-        for start in range(0, len(keep), _WRITE_BLOCK):
-            idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
-            axes = [t.take(j).view(np.uint8).reshape(len(j), -1)
-                    for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
-            yield [*axes, _fields(sweep.utilities[idx], b"\n")]
+        # Unfiltered rows come slab by slab, so the cloud is never built.
+        # Kept rows stay a list: an index array over the whole grid would
+        # add to peak memory, so only each block's slice becomes one.
+        if args.filter:
+            for start in range(0, len(keep), _WRITE_BLOCK):
+                idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
+                yield block(idx, sweep.utilities[idx])
+            return
+        first = 0
+        for slab in sweep.slabs():
+            for start in range(0, len(slab), _WRITE_BLOCK):
+                rows = slab[start : start + _WRITE_BLOCK]
+                yield block(np.arange(first + start, first + start + len(rows)), rows)
+            first += len(slab)
 
     _write_csv(args.out, meta, columns, blocks())
     print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")

@@ -19,8 +19,10 @@ weights, times the ``class_power`` of each row's class (with the power
 axis as the FREE levels, where there is one), times its group split, form
 one small array per (transmitter, receiver) that broadcasts over the
 whole grid; no per-weight strategy object is built.  The utilities are
-then evaluated one slab of the first axis at a time; ``utilities_at`` is
-the scalar oracle for any row.
+then evaluated in slabs of consecutive first-axis indices, about
+``_SLAB_ROWS`` rows each, only when read: an unfiltered writer consumes one
+slab at a time and never holds the whole cloud.  ``utilities_at`` is the
+scalar oracle for any row.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
@@ -301,23 +303,81 @@ def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
     return fields
 
 
+# About this many rows make one slab of the joint utility evaluation.  A slab
+# is a run of whole leading-axis indices, or one index when that alone holds
+# more rows.  It bounds an unfiltered sweep's memory, and grouping indices
+# keeps the numpy passes few when the trailing axes are short.
+_SLAB_ROWS = 4096
+
+
 class UtilitySweep:
-    """Result of a utility-region sweep: utilities plus the axis grids.
+    """Result of a utility-region sweep: the axis grids and a lazy utility cloud.
 
     Rows are in C order over the axis shape, i.e. lexicographic over the
     parameter axes.  Row i holds ``utilities[i]`` at the parameters
     ``parameter_point(i)`` (as a ParameterPoint) or ``parameter_row(i)``
     (as one row of the CSV parameter columns).
+
+    The utilities are evaluated in slabs of consecutive leading-axis
+    indices of about ``_SLAB_ROWS`` rows each, from the gain fields that
+    ``sweep_utility_region`` built.  ``slabs()`` yields them in row order
+    without keeping them, so a caller that consumes rows in order holds one
+    slab at a time; ``utilities`` is their concatenation, evaluated at its
+    first read and then kept, after which ``slabs()`` yields views of it.
     """
 
-    def __init__(self, scenario: Scenario, axes: list[SweepAxis], utilities: np.ndarray):
+    def __init__(self, scenario: Scenario, axes: list[SweepAxis], spec: UtilitySpec, fields: dict):
         self.scenario = scenario
         self.axes = axes
         self.shape = tuple(len(ax) for ax in axes)
-        self.utilities = utilities
+        self._spec = spec
+        self._fields = fields
+        self._utilities = None
 
     def __len__(self) -> int:
-        return self.utilities.shape[0]
+        return math.prod(self.shape)
+
+    @property
+    def utilities(self) -> np.ndarray:
+        """The (grid points, receivers) utility cloud: ``slabs()`` concatenated."""
+        if self._utilities is None:
+            out = np.empty((len(self), self._spec.n_receivers))
+            start = 0
+            for slab in self.slabs():
+                out[start : start + len(slab)] = slab
+                start += len(slab)
+            self._utilities = out
+        return self._utilities
+
+    def slabs(self):
+        """The utility rows in order, as (rows, receivers) arrays of whole leading indices."""
+        slab_n = math.prod(self.shape[1:])
+        per = max(1, _SLAB_ROWS // slab_n)
+        for i0 in range(0, self.shape[0], per):
+            i1 = min(i0 + per, self.shape[0])
+            if self._utilities is None:
+                yield self._evaluate(i0, i1)
+            else:
+                yield self._utilities[i0 * slab_n : i1 * slab_n]
+
+    def _evaluate(self, i0: int, i1: int) -> np.ndarray:
+        """Utility rows of leading indices i0..i1-1.  Each sum starts from zeros
+        and adds its rule's transmitters in rule order, so no value depends on
+        where a slab starts or ends."""
+        part = (i1 - i0, *self.shape[1:])
+        out = np.empty((math.prod(part), self._spec.n_receivers))
+
+        def total(tids, j):
+            acc = np.zeros(part)
+            for tid in tids:
+                acc = acc + np.broadcast_to(self._fields[tid][j], self.shape)[i0:i1]
+            return acc
+
+        sigma2 = self._spec.noise_power
+        for j, rule in enumerate(self._spec.rules):
+            signal, interference = total(rule.signal, j), total(rule.interference, j)
+            out[:, j] = np.log2(1.0 + signal / (sigma2 + interference)).ravel()
+        return out
 
     @property
     def parameter_columns(self) -> tuple[str, ...]:
@@ -353,13 +413,15 @@ def sweep_utility_region(
     step: float = 0.1,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> UtilitySweep:
-    """Evaluate utilities over the joint parameter grid.
+    """Build the joint parameter grid and its gain fields; the utilities follow lazily.
 
     The enumeration is the Cartesian product of every transmitter's
     simplex grid, every multi-member group's split grid and, where power
     control applies, a power grid with the same spacing; rows come out in
     lexicographic order.  Grids larger than ``point_budget`` are refused
-    after counting, before any axis is built.
+    after counting, before any axis is built.  Every refusal and every
+    boundary table happens here; the returned ``UtilitySweep`` evaluates
+    the utilities, slab by slab, only when they are read.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
@@ -371,23 +433,7 @@ def sweep_utility_region(
             f"sweep would produce {n_points} points, above the budget of {point_budget}"
         )
     axes = sweep_axes(s, step)
-    shape = tuple(len(ax) for ax in axes)
-    fields = _gain_fields(s, axes)
-    slab_shape = shape[1:]
-    slab_n = math.prod(slab_shape)
-    out = np.empty((n_points, s.n_receivers))
-    sigma2 = spec.noise_power
-    for i0 in range(shape[0]):
-        rows = slice(i0 * slab_n, (i0 + 1) * slab_n)
-        for j, rule in enumerate(spec.rules):
-            signal = np.zeros(slab_shape)
-            for tid in rule.signal:
-                signal = signal + np.broadcast_to(fields[tid][j], shape)[i0]
-            interference = np.zeros(slab_shape)
-            for tid in rule.interference:
-                interference = interference + np.broadcast_to(fields[tid][j], shape)[i0]
-            out[rows, j] = np.log2(1.0 + signal / (sigma2 + interference)).ravel()
-    return UtilitySweep(scenario=s, axes=axes, utilities=out)
+    return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=_gain_fields(s, axes))
 
 
 def pareto_filter(points) -> list[int]:

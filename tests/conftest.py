@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gainregion.region import PowerClass, boundary_strategy, needs_power_control, simplex_grid
+
+# One transmitter with three antennas serving three receivers: a joint grid
+# with one lambda axis and nothing else, so each leading index is one row.
+BROADCAST3 = Path(__file__).resolve().parent / "skeletons" / "broadcast3.json"
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from gainregion.pareto import (
 from gainregion.region import PowerClass, strategy_gains, sweep_boundary
 from gainregion.verify import run_suite, suite_names
 
-from conftest import oracle_sweep
+from conftest import BROADCAST3, oracle_sweep
 
 
 def run(*argv):
@@ -222,6 +223,8 @@ def test_sweep_rates_budget(tmp_path, capsys):
                "--budget", "1000", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "287496" in capsys.readouterr().err
+    # Rows are written as they are made, so every refusal precedes the open.
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rates_deterministic_bytes(tmp_path):
@@ -460,6 +463,8 @@ _BLOCK_EDGE_SCENARIOS = [
     (("--template", "ic", "--users", "3", "--antennas", "3", "--seed", "2"), "0.25", "lambda"),
     (("--template", "mixed", "--antennas", "3", "--seed", "2"), "0.5", "split"),
     (("--template", "ic", "--users", "3", "--antennas", "2", "--seed", "2"), "0.5", "power"),
+    # One axis of 5,151 rows: two slabs of utilities, split at row 4,096.
+    (("--skeleton", str(BROADCAST3), "--seed", "2"), "0.01", "lambda"),
 ]
 
 
@@ -477,11 +482,28 @@ def test_sweep_rates_rows_across_block_edges(tmp_path, filtered):
         assert kind in [ax.kind for ax in sweep.axes], kind
         keep = pareto_filter(sweep.utilities) if filtered else range(len(sweep))
         assert len(keep) > edge, kind
-        if filtered and kind == "lambda":
-            # The kept rows on either side of the first block edge are not neighbours.
+        if filtered and kind == "lambda" and len(sweep.axes) > 1:
+            # The kept rows on either side of the first block edge are not
+            # neighbours (a one-axis broadcast front keeps every row).
             assert keep[edge] - keep[edge - 1] > 1
         expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]]) for i in keep]
         assert data_lines(out) == expected, kind
+
+
+def test_unfiltered_sweep_rates_never_holds_the_utility_cloud(tmp_path, capsys):
+    scen, out = tmp_path / "ic.json", tmp_path / "rates.csv"
+    run("gen", "--template", "ic", "--users", "3", "--antennas", "3",
+        "--seed", "84", "--out", str(scen))
+    cloud_bytes = 91_125 * 3 * 8  # the (grid points, receivers) float cloud
+    tracemalloc.start()
+    try:
+        assert run("sweep-rates", "--scenario", str(scen), "--step", "0.125",
+                   "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "91125 rows from 91125 grid points" in capsys.readouterr().out
+    assert peak < cloud_bytes
 
 
 def test_sweep_rates_parameter_fields_keep_17_digits(tmp_path):

@@ -9,6 +9,7 @@ from gainregion.network import (
     direction_vector,
     generate_channels,
     ic_skeleton,
+    load_scenario,
     mixed_skeleton,
     snr_to_noise,
 )
@@ -39,7 +40,7 @@ from gainregion.region import (
     random_feasible_covariance,
 )
 
-from conftest import random_channels
+from conftest import BROADCAST3, random_channels
 
 
 def ic_scenario(seed=3, users=3, antennas=3, snr_db=0.0):
@@ -269,6 +270,48 @@ def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
     with pytest.raises(ValueError, match="above the budget"):
         sweep_utility_region(s, step=0.02)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "make, step, kinds",
+    [
+        (lambda: ic_scenario(seed=84), 0.125, {"lambda"}),
+        (lambda: generate_channels(84, mixed_skeleton(2)), 0.25, {"lambda", "split", "power"}),
+        (lambda: generate_channels(84, load_scenario(BROADCAST3)), 0.01, {"lambda"}),
+    ],
+    ids=["ic3x3", "mixed-n2", "one-axis"],
+)
+def test_slabs_are_the_utilities_in_bounded_runs_of_leading_indices(make, step, kinds):
+    s = make()
+    sweep = sweep_utility_region(s, step=step)
+    assert {ax.kind for ax in sweep.axes} == kinds
+    slabs = list(sweep.slabs())  # evaluated, before any read of utilities
+    per_index = len(sweep) // sweep.shape[0]
+    assert len(slabs) > 1
+    for slab in slabs:
+        assert slab.shape[1] == s.n_receivers
+        assert len(slab) % per_index == 0
+        assert len(slab) <= max(pareto._SLAB_ROWS, per_index)
+    # A second sweep evaluates its cloud from its own slabs; both are bitwise equal.
+    cloud = sweep_utility_region(s, step=step).utilities
+    assert cloud.shape == (len(sweep), s.n_receivers)
+    assert np.concatenate(slabs).tobytes() == cloud.tobytes()
+    # The reference: one leading index at a time, each sum from zeros in rule order.
+    fields, spec = pareto._gain_fields(s, sweep.axes), UtilitySpec.from_scenario(s)
+    for i0 in range(sweep.shape[0]):
+        for j, rule in enumerate(spec.rules):
+            signal = np.zeros(sweep.shape[1:])
+            for tid in rule.signal:
+                signal = signal + np.broadcast_to(fields[tid][j], sweep.shape)[i0]
+            interference = np.zeros(sweep.shape[1:])
+            for tid in rule.interference:
+                interference = interference + np.broadcast_to(fields[tid][j], sweep.shape)[i0]
+            want = np.log2(1.0 + signal / (spec.noise_power + interference)).ravel()
+            rows = cloud[i0 * per_index : (i0 + 1) * per_index, j]
+            assert rows.tobytes() == want.tobytes()
+    # Once read, the cloud is kept and the slabs are its rows.
+    assert sweep.utilities is sweep.utilities
+    assert np.concatenate(list(sweep.slabs())).tobytes() == cloud.tobytes()
 
 
 def test_sweep_matches_scalar_path():
