@@ -8,7 +8,9 @@ utility-regions, and independent characterizations (MRT/ZF combinations,
 null-shaping constraints) cross-check the strategies.
 
 The names below are the user-facing surface; primitives (eigen kernels,
-projectors, oracles, verify suites) stay in their submodules.
+projectors, oracles, verify suites) stay in their submodules.  The
+null-shaping names load ``nullshape`` at their first use, since no sweep
+needs it.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +26,6 @@ from .network import (
     save_scenario,
     snr_to_noise,
 )
-from .nullshape import null_constraints, projected_mrt, verify_gain_equivalence
 from .pareto import (
     ParameterPoint,
     UtilitySpec,
@@ -59,3 +60,13 @@ __all__ = [
     # nullshape
     "null_constraints", "projected_mrt", "verify_gain_equivalence",
 ]
+
+_NULLSHAPE = ("null_constraints", "projected_mrt", "verify_gain_equivalence")
+
+
+def __getattr__(name):
+    if name in _NULLSHAPE:
+        from . import nullshape
+
+        return getattr(nullshape, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,11 +22,13 @@ whole cloud, and each block gathers its kept rows from it.
 operations, calling format() only for values outside fixed notation.  Each
 field is a NUL-padded uint8 row followed by its separator, and a block is
 written as one ``bytes``: its fields side by side, without the padding.
-``sweep-rates`` formats each row of each parameter axis once and per block
-gathers those rows by the rows' axis indices, so only the utilities go
-through the kernel per block.  ``sweep-gain`` formats each block's weights
-and power, and its gains, in two kernel calls, and gathers each row's power
-class from its label.
+``sweep-rates`` formats each row of each parameter axis once, into one S
+string per row, and per block gathers those rows by the rows' axis indices,
+so only the utilities go through the kernel per block.  The axis tables are
+formatted in blocks of ``_WRITE_BLOCK`` rows too: a one-axis grid's axis is
+the whole grid, and one kernel call over it would peak far above the table.
+``sweep-gain`` formats each block's weights and power, and its gains, in two
+kernel calls, and gathers each row's power class from its label.
 
 Exit codes: 0 success, 1 check failure, 2 usage or schema error.
 """
@@ -54,7 +56,6 @@ from .network import (
 )
 from .pareto import UtilitySpec, pareto_filter, sweep_utility_region
 from .region import DEFAULT_POINT_BUDGET, PowerClass, sweep_boundary
-from .verify import run_suite, suite_names
 
 TEMPLATES = ("ic", "mixed")
 _WRITE_BLOCK = 256  # rows per kernel call and per write
@@ -231,6 +232,16 @@ def _csv_bytes(block) -> bytes:
     return text[text != 0].tobytes()
 
 
+def _axis_table(values) -> np.ndarray:
+    """Each row of an axis's 2-D values as one S string: its fields, each
+    followed by a comma.  Formatted ``_WRITE_BLOCK`` rows at a time."""
+    blocks = [
+        np.array([_csv_bytes([row]) for row in _fields(values[start : start + _WRITE_BLOCK])])
+        for start in range(0, len(values), _WRITE_BLOCK)
+    ]
+    return np.concatenate(blocks)
+
+
 def _parse_direction(text: str, k: int) -> np.ndarray:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != k:
@@ -331,7 +342,7 @@ def cmd_sweep_rates(args) -> int:
 
     # An axis has few rows (45 per lambda axis of ic 3x3 at step 0.125),
     # each repeated across the grid, so each is formatted once.
-    tables = [np.array([_csv_bytes([row]) for row in _fields(ax.values)]) for ax in sweep.axes]
+    tables = [_axis_table(ax.values) for ax in sweep.axes]
 
     def block(idx, utilities):
         axes = [t.take(j).view(np.uint8).reshape(len(j), -1)
@@ -360,6 +371,9 @@ def cmd_sweep_rates(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # No sweep needs the suites or the null-shaping module they load.
+    from .verify import run_suite, suite_names
+
     try:
         checks = run_suite(args.suite, seed=args.seed, trials=args.trials)
     except KeyError:
@@ -419,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.set_defaults(func=cmd_sweep_rates)
 
     p_verify = sub.add_parser("verify", help="run a self-check suite")
-    p_verify.add_argument("--suite", required=True, help=f"one of: {', '.join(suite_names())}")
+    p_verify.add_argument("--suite", required=True, help="a suite name, or 'all'")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -450,12 +450,22 @@ def pareto_filter(points) -> list[int]:
     rows.
     """
     pts = _check_points(points)
-    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    # The distinct points in ascending lexicographic order, and each point's
+    # position among them: a stable sort, column 0 first, and a row-change
+    # mask, about twice as fast as np.unique(axis=0) on millions of rows.
+    order = np.lexsort(pts.T[::-1])
+    ranked = pts[order]
+    new = np.ones(len(ranked), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    distinct = ranked[new]
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    del ranked, order, new
     n, d = distinct.shape
     rest = np.hstack([distinct[::-1, 1:], np.zeros((n, max(0, 3 - d)))])
     every = np.ones(n, dtype=bool)
     keep = ~_dominated(rest, every, every)
-    return np.flatnonzero(keep[::-1][inverse.reshape(-1)]).tolist()
+    return np.flatnonzero(keep[::-1][inverse]).tolist()
 
 
 def _check_points(points) -> np.ndarray:

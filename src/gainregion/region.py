@@ -121,9 +121,21 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     m = round(1.0 / step)
     # Stars and bars: K - 1 bars among m + K - 1 slots, in lexicographic
     # order of the bar positions, which is that of the parts between them.
-    bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=np.intp)
-    parts = np.diff(bars.reshape(size, k - 1), prepend=-1, append=m + k - 1) - 1
-    return parts / m
+    # The positions stream into one array, with no Python object per row.
+    combos = itertools.combinations(range(m + k - 1), k - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(combos), np.intp, size * (k - 1))
+    out = np.empty((size, k))
+    out[:, :-1] = bars.reshape(size, k - 1)
+    del bars
+    out[:, -1] = m + k - 1
+    # Part i is the gap between bar i - 1 (bar -1 sits at -1) and bar i, less
+    # one; all are small integers, so the float arithmetic is exact.  One
+    # column at a time, right to left: numpy buffers 2-D strided updates.
+    for i in range(k - 1, 0, -1):
+        out[:, i] -= out[:, i - 1]
+        out[:, i] -= 1
+    out /= m
+    return out
 
 
 def check_simplex_weight(lam) -> np.ndarray:
@@ -367,7 +379,8 @@ def sweep_boundary(
         raise ValueError("p_free_samples must be >= 2")
     _check_budget(simplex_grid_size(len(h), step), "grid rows")
     grid = simplex_grid(len(h), step)
-    _, classes, unit = boundary_table(h, grid, e)
+    # Only the classes and gains are kept: the directions go before the fan-out.
+    classes, unit = boundary_table(h, grid, e)[1:]
     rows = np.arange(len(grid))
     levels = 1.0
     free = classes == PowerClass.FREE

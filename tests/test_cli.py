@@ -291,9 +291,12 @@ def test_verify_rejects_a_negative_seed(capsys):
 
 
 def test_verify_unknown_suite(capsys):
+    # The --suite help names no suites (that would load them for every
+    # command), so the refusal must name all of them.
     assert run("verify", "--suite", "nope") == 2
-    err = capsys.readouterr().err
-    assert "convexity" in err and "hyperplane" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert all(name in err for name in suite_names()), err
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
@@ -506,6 +509,23 @@ def test_unfiltered_sweep_rates_never_holds_the_utility_cloud(tmp_path, capsys):
     assert peak < cloud_bytes
 
 
+def test_sweep_rates_formats_a_long_axis_in_blocks(tmp_path, capsys):
+    # A one-axis grid's only axis is the whole grid (5,151 rows at step
+    # 0.01).  Formatted in one kernel call, its temporaries peaked at about
+    # 6 MiB; a block at a time, the whole run stays under 2 MiB.
+    scen, out = tmp_path / "broadcast.json", tmp_path / "rates.csv"
+    run("gen", "--skeleton", str(BROADCAST3), "--seed", "84", "--out", str(scen))
+    tracemalloc.start()
+    try:
+        assert run("sweep-rates", "--scenario", str(scen), "--step", "0.01",
+                   "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "5151 rows from 5151 grid points" in capsys.readouterr().out
+    assert peak < 2 * 2**20
+
+
 def test_sweep_rates_parameter_fields_keep_17_digits(tmp_path):
     # At step 0.1 most grid values (0.1, 0.7, ...) need all 17 digits, which
     # the dyadic steps of the block-edge test never do.
@@ -545,16 +565,16 @@ def test_sweep_gain_free_fan_out_across_a_block_edge(tmp_path):
     assert data_lines(out) == expected
 
 
-# Runs in a fresh interpreter: the test process has loaded hashlib already.
+# Runs in a fresh interpreter: the test process has loaded every module.
 # gen is left out: its numpy.random imports secrets, whose hmac loads OpenSSL.
-_NO_OPENSSL_RUN = """
+_UNLOADED_RUN = """
 import sys
 from gainregion import cli
 
 # bench/spans.py wraps these modules' functions after importing cli alone.
 layers = {"gainregion." + m for m in ("network", "region", "linalg", "pareto")}
 assert layers <= sys.modules.keys(), layers - sys.modules.keys()
-scen, d = sys.argv[1:]
+scen, d, *unloaded = sys.argv[1:]
 for argv in (
     ["sweep-gain", "--scenario", scen, "--transmitter", "1", "--step", "0.1",
      "--out", d + "/gain.csv"],
@@ -562,17 +582,26 @@ for argv in (
     ["sweep-rates", "--scenario", scen, "--step", "0.25", "--filter", "--out", d + "/front.csv"],
 ):
     assert cli.main(argv) == 0, argv
-    assert "_hashlib" not in sys.modules, argv
+    loaded = sys.modules.keys() & set(unloaded)
+    assert not loaded, (argv, loaded)
 """
 
 
-def test_sweeps_do_not_load_openssl(tmp_path):
+def _assert_sweeps_leave_unloaded(tmp_path, *modules):
     scen = tmp_path / "ic.json"
     assert run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
                "--seed", "5", "--out", str(scen)) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_OPENSSL_RUN, str(scen), str(tmp_path)],
+        [sys.executable, "-c", _UNLOADED_RUN, str(scen), str(tmp_path), *modules],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweeps_do_not_load_openssl(tmp_path):
+    _assert_sweeps_leave_unloaded(tmp_path, "_hashlib")
+
+
+def test_sweeps_do_not_load_the_verify_suites_or_nullshape(tmp_path):
+    _assert_sweeps_leave_unloaded(tmp_path, "gainregion.verify", "gainregion.nullshape")

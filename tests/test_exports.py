@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +25,24 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# Runs in a fresh interpreter: the test process has imported nullshape already.
+_LAZY_RUN = """
+import sys
+import gainregion
+
+assert "gainregion.nullshape" not in sys.modules
+constraints = gainregion.null_constraints
+from gainregion import nullshape
+
+assert constraints is nullshape.null_constraints
+assert gainregion.verify_gain_equivalence is nullshape.verify_gain_equivalence
+"""
+
+
+def test_nullshape_names_resolve_before_nullshape_is_imported():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_RUN], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -450,6 +450,28 @@ def test_pareto_filter_matches_bruteforce_on_dense_ties(pts):
     assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda d: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.just(d)),
+            elements=st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-4.0, 4.0, width=32)),
+        )
+    ),
+    st.lists(st.integers(0, 11), min_size=1, max_size=130),
+    st.integers(0, 2**32 - 1),
+)
+def test_pareto_filter_matches_bruteforce_on_repeated_rows(pool, picks, seed):
+    # Rows drawn with repeats from a small pool, each zero given a random
+    # sign: exact duplicates span several leaves of the filter and the
+    # deduplication must count -0.0 and 0.0 as one value.
+    pts = pool[[i % len(pool) for i in picks]]
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=pts.shape)
+    pts = np.where(pts == 0, np.copysign(0.0, signs), pts)
+    assert pareto_filter(pts) == pareto_filter_bruteforce(pts)
+
+
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_pareto_filter_matches_bruteforce_on_a_tied_cloud_of_many_halves(d):
     # 300 rows in 0..3: ties cross the halves at several recursion levels,

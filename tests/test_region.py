@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,30 @@ def test_simplex_grid_is_the_filtered_product_bitwise():
             want = np.array(rows, dtype=float) / m
             got = simplex_grid(k, 1.0 / m)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1 / 16, 1 / 30, 0.02, 0.01])
+def test_simplex_grid_is_the_combinations_reference(k, step):
+    # The stars-and-bars rows built through a list of bar-position tuples, at
+    # steps too fine for the filtered product above.
+    m = round(1.0 / step)
+    bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=np.intp)
+    want = np.diff(bars.reshape(len(bars), k - 1), prepend=-1, append=m + k - 1) - 1
+    got = simplex_grid(k, step)
+    assert got.shape == want.shape and got.tobytes() == (want / m).tobytes()
+
+
+def test_simplex_grid_builds_no_object_per_row():
+    # 5,151 rows of 3 floats: 124 KB.  A list of one tuple per row peaked
+    # near 0.6 MB; the bar positions and the rows alone stay under the bound.
+    tracemalloc.start()
+    try:
+        grid = simplex_grid(3, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.nbytes + 64 * 1024
 
 
 def test_simplex_grid_size_counts_without_building():
