@@ -9,8 +9,8 @@ null-shaping constraints) cross-check the strategies.
 
 The names below are the user-facing surface; primitives (eigen kernels,
 projectors, oracles, verify suites) stay in their submodules.  The
-null-shaping names load ``nullshape`` at their first use, since no sweep
-needs it.
+null-shaping names and ``two_user_combination`` load ``verify``, the home
+of the check-only mathematics, at their first use, since no sweep needs it.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ from .pareto import (
     pareto_strategies,
     strategy_gain_matrix,
     sweep_utility_region,
-    two_user_combination,
     utilities_at,
 )
 from .region import (
@@ -56,17 +55,17 @@ __all__ = [
     "simplex_grid", "strategy_gains", "sweep_boundary",
     # pareto
     "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "pareto_strategies",
-    "strategy_gain_matrix", "sweep_utility_region", "two_user_combination", "utilities_at",
-    # nullshape
-    "null_constraints", "projected_mrt", "verify_gain_equivalence",
+    "strategy_gain_matrix", "sweep_utility_region", "utilities_at",
+    # verify, loaded at first use
+    "null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence",
 ]
 
-_NULLSHAPE = ("null_constraints", "projected_mrt", "verify_gain_equivalence")
+_LAZY = ("null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence")
 
 
 def __getattr__(name):
-    if name in _NULLSHAPE:
-        from . import nullshape
+    if name in _LAZY:
+        from . import verify
 
-        return getattr(nullshape, name)
+        return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,8 @@ eigenvectors carry a fixed phase (first nonzero component real and
 positive) so identical inputs produce bit-identical outputs.  Entry g of
 a stacked result is bitwise the result for entry g alone.  A channel set
 is one (K, N) complex matrix, row l the channel to receiver l, validated
-only by ``as_channels``.
+only by ``as_channels``.  The projectors and the rank test, which only
+the checks read, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "EigenSystem",
     "as_cvec",
     "as_channels",
-    "unit",
     "fix_phase",
     "outer_product",
     "weighted_combination",
@@ -34,8 +34,6 @@ __all__ = [
     "eig_tolerance",
     "tied_blocks",
     "split_ties",
-    "projector_onto",
-    "projector_complement",
 ]
 
 # Relative tolerance for accepting a matrix as Hermitian.
@@ -43,8 +41,8 @@ HERMITIAN_RTOL = 1e-12
 # Fraction of the largest eigenvalue magnitude within which eigenvalues
 # count as tied, or as zero (see eig_tolerance).
 EIG_RTOL = 1e-9
-# Bound on a Gram-Schmidt residual, relative to the largest column, at or
-# below which a column counts as dependent on the ones before it.
+# Bound, relative to the largest column, at or below which a projection
+# (the span tie-break's) or a residual (verify's rank test) counts as zero.
 RANK_RTOL = 1e-12
 
 _PHASE_RTOL = 1e-12
@@ -73,15 +71,6 @@ def as_channels(channels) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ValueError("channels contain non-finite entries")
     return h.astype(np.complex128, copy=False)
-
-
-def unit(v) -> np.ndarray:
-    """Return v scaled to unit Euclidean norm."""
-    v = as_cvec(v)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
@@ -292,51 +281,3 @@ def split_ties(es: EigenSystem, blocks, perturbation, span_basis) -> EigenSystem
         vectors[:, lo:hi] = fix_phase(v)
     vectors.flags.writeable = False
     return EigenSystem(values=es.values, vectors=vectors)
-
-
-def _dependent_columns(a: np.ndarray) -> list[int]:
-    """Indices of the columns that a greedy Gram-Schmidt pass rejects: those
-    whose residual against the accepted ones is at most RANK_RTOL times the
-    largest column norm (so independent of units), and any column after
-    the accepted ones fill the space.  This is the library's one rank test."""
-    dim = a.shape[0]
-    floor = RANK_RTOL * np.linalg.norm(a, axis=0).max()
-    basis: list[np.ndarray] = []
-    dependent = []
-    for j in range(a.shape[1]):
-        v = a[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        if np.linalg.norm(v) <= floor or len(basis) == dim:
-            dependent.append(j)
-        else:
-            basis.append(v / np.linalg.norm(v))
-    return dependent
-
-
-def projector_onto(columns, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the span of the given vectors (a sequence,
-    or the rows of a matrix), zero for none; a set that _dependent_columns
-    finds rank deficient is rejected, naming the dependent columns."""
-    if len(columns) == 0:
-        if dim is None:
-            raise ValueError("dim is required when the column set is empty")
-        return np.zeros((dim, dim), dtype=np.complex128)
-    a = as_channels(columns).T.copy()  # C order, as in _span_tiebreak
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"columns have dimension {a.shape[0]}, expected {dim}")
-    dependent = _dependent_columns(a)
-    if dependent:
-        raise ValueError(
-            f"columns are numerically rank deficient; dependent columns: {dependent}"
-        )
-    q, _ = np.linalg.qr(a, mode="reduced")
-    return q @ q.conj().T
-
-
-def projector_complement(columns, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector I - projector_onto(columns) onto the orthogonal
-    complement of the columns; an empty column set yields the identity."""
-    p = projector_onto(columns, dim)
-    return np.eye(p.shape[0], dtype=np.complex128) - p
-

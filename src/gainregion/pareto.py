@@ -2,8 +2,8 @@
 
 Assembles per-transmitter boundary strategies into network strategy
 profiles, evaluates log-SINR utilities, sweeps the joint parameter grid
-into a utility cloud, filters it to the nondominated set, and carries the
-two-user MRT/ZF-combination results with their verification oracles.
+into a utility cloud and filters it to the nondominated set; the two-user
+MRT/ZF-combination results live in ``verify``.
 
 A transmitter's strategy in a profile is a ``region.BoundaryStrategy``
 whose power is its boundary power times its power group split.
@@ -39,11 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import RANK_RTOL, as_cvec, projector_complement, projector_onto, unit
 from .network import Scenario, direction_vector
 from .region import (
     DEFAULT_POINT_BUDGET,
-    boundary_eigensystem,
+    _check_budget,
     boundary_strategy,
     boundary_table,
     check_simplex_weight,
@@ -52,7 +51,6 @@ from .region import (
     simplex_grid,
     simplex_grid_size,
     strategy_gains,
-    unit_gains,
 )
 
 __all__ = [
@@ -69,11 +67,6 @@ __all__ = [
     "sweep_utility_region",
     "pareto_filter",
     "pareto_filter_bruteforce",
-    "zf_beamformer",
-    "two_user_combination",
-    "two_user_boundary_vector",
-    "verify_two_user_identity",
-    "alignment_search",
 ]
 
 
@@ -428,10 +421,7 @@ def sweep_utility_region(
     if spec.n_receivers != s.n_receivers:
         raise ValueError("utility spec receiver count does not match the scenario")
     n_points = math.prod(simplex_grid_size(parts, step) for *_, parts in _axis_plan(s))
-    if n_points > point_budget:
-        raise ValueError(
-            f"sweep would produce {n_points} points, above the budget of {point_budget}"
-        )
+    _check_budget(n_points, "points", point_budget)
     axes = sweep_axes(s, step)
     return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=_gain_fields(s, axes))
 
@@ -550,72 +540,3 @@ def pareto_filter_bruteforce(points) -> list[int]:
         if not dominated:
             keep.append(i)
     return keep
-
-
-def zf_beamformer(h_own, h_cross) -> np.ndarray:
-    """Zero forcing: project the intended channel off the cross channel."""
-    own = as_cvec(h_own)
-    proj = projector_complement([as_cvec(h_cross)])
-    d = proj @ own
-    if np.linalg.norm(d) <= RANK_RTOL * np.linalg.norm(own):
-        raise ValueError("channels are collinear; the zero-forcing direction vanishes")
-    return d / np.linalg.norm(d)
-
-
-def two_user_combination(lam_hat: float, h_own, h_cross) -> np.ndarray:
-    """Unit combination of MRT and ZF for the two-user interference channel.
-
-    lam_hat = 1 gives MRT (the unit intended channel), lam_hat = 0 gives
-    ZF; intermediate values trace the efficient boundary.
-    """
-    if not 0.0 <= lam_hat <= 1.0:
-        raise ValueError(f"lam_hat must be in [0, 1], got {lam_hat}")
-    w = lam_hat * unit(h_own) + (1.0 - lam_hat) * zf_beamformer(h_own, h_cross)
-    return w / np.linalg.norm(w)
-
-
-def two_user_boundary_vector(lam1: float, h_own, h_cross) -> np.ndarray:
-    """Boundary beamformer for two receivers in direction (+1, -1): the
-    boundary strategy at simplex weights (lam1, 1 - lam1), whose Z is
-    lam1 h1 h1^H - (1 - lam1) h2 h2^H."""
-    return boundary_strategy([h_own, h_cross], [lam1, 1.0 - lam1], [1, -1]).direction
-
-
-def verify_two_user_identity(lam1: float, h_own, h_cross) -> float:
-    """Residual of the projector identity behind the MRT/ZF combination.
-
-    The top eigenvector w of Z = lam1 h1 h1^H - (1 - lam1) h2 h2^H, from
-    region.boundary_eigensystem at weights (lam1, 1 - lam1), must satisfy
-    (lam1 |h1|^2 P_{h1} + (1 - lam1) |h2|^2 P^perp_{h2}) w =
-    (mu + (1 - lam1) |h2|^2) w; returns the Euclidean residual.
-    """
-    own, cross = as_cvec(h_own), as_cvec(h_cross)
-    es = boundary_eigensystem([own, cross], [lam1, 1.0 - lam1], [1, -1])
-    mu, w = float(es.values[-1]), es.vectors[:, -1]
-    n_own = float(np.real(np.vdot(own, own)))
-    n_cross = float(np.real(np.vdot(cross, cross)))
-    lhs = lam1 * n_own * projector_onto([own]) + (1.0 - lam1) * n_cross * projector_complement([cross])
-    rhs = (mu + (1.0 - lam1) * n_cross) * w
-    return float(np.linalg.norm(lhs @ w - rhs))
-
-
-def alignment_search(w, h_own, h_cross) -> tuple[float, float]:
-    """Find the boundary parameter whose eigenvector matches w.
-
-    An eigenvector w of Z = lam1 h1 h1^H - (1 - lam1) h2 h2^H satisfies
-    lam1 (h1 h1^H + h2 h2^H) w - mu w = h2 h2^H w, which is linear in the
-    real unknowns (lam1, mu); they are solved by real least squares and
-    lam1 is clipped to [0, 1].  Returns (lam1, alignment), the alignment
-    being |<w, v_max(lam1)>|^2 against two_user_boundary_vector(lam1).
-    """
-    wv = unit(w)
-    own, cross = as_cvec(h_own), as_cvec(h_cross)
-    a_w = own * np.vdot(own, wv)
-    b_w = cross * np.vdot(cross, wv)
-    m = np.column_stack([a_w + b_w, -wv])
-    coef = np.linalg.lstsq(
-        np.vstack([m.real, m.imag]), np.concatenate([b_w.real, b_w.imag]), rcond=None
-    )[0]
-    lam1 = float(np.clip(coef[0], 0.0, 1.0))
-    v = two_user_boundary_vector(lam1, own, cross)
-    return lam1, float(unit_gains([v], wv)[0])

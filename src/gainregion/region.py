@@ -1,9 +1,9 @@
 """Single-transmitter power gain-region analysis.
 
-Covers received power gains, the boundary beamformer parametrization over
-simplex weights, the full/free/zero power rule, simplex-grid boundary
-sweeps and the constructive oracles (segment covariances, full-power
-completion, random feasible covariances).
+Covers the boundary beamformer parametrization over simplex weights, the
+full/free/zero power rule and simplex-grid boundary sweeps; the check-only
+results on the gain-region (segment covariances, full-power completion,
+the supporting-hyperplane bound) live in ``verify``.
 
 ``boundary_strategy`` is the scalar oracle: one weight vector in, one
 ``BoundaryStrategy`` out.  The grid paths return columns instead, one array
@@ -33,15 +33,12 @@ import numpy as np
 
 from .linalg import (
     EIG_RTOL,
-    RANK_RTOL,
     EigenSystem,
     as_channels,
-    as_cvec,
     combination_scale,
     eig_hermitian,
     eig_tolerance,
     outer_product,
-    projector_complement,
     split_ties,
     tied_blocks,
     weighted_combination,
@@ -56,8 +53,6 @@ __all__ = [
     "simplex_grid_size",
     "check_simplex_weight",
     "check_direction",
-    "power_gain",
-    "power_rule",
     "class_power",
     "boundary_eigensystem",
     "boundary_strategy",
@@ -66,11 +61,6 @@ __all__ = [
     "boundary_table",
     "needs_power_control",
     "sweep_boundary",
-    "segment_covariance",
-    "full_power_completion",
-    "random_feasible_covariance",
-    "hyperplane_bound",
-    "weighted_objective",
 ]
 
 # Most rows a sweep may enumerate; a larger grid is refused after counting.
@@ -169,33 +159,13 @@ def check_direction(e) -> np.ndarray:
     return d
 
 
-def power_gain(q, h) -> float:
-    """Received power gain h^H Q h of a covariance at one receiver."""
-    a = np.asarray(q, dtype=np.complex128)
-    v = as_cvec(h)
-    if a.ndim != 2 or a.shape != (v.size, v.size):
-        raise ValueError(f"covariance shape {a.shape} does not match channel dim {v.size}")
-    return float(np.real(v.conj() @ (a @ v)))
-
-
-def power_rule(z) -> PowerClass:
-    """Classify the boundary power allocation from the top eigenvalue of Z.
-
-    Full when the top eigenvalue is positive, Zero when negative, Free
-    when it vanishes within tau, so the class does not change when Z is
-    scaled.  Z alone carries no scale of its terms, so here tau is
-    linalg.eig_tolerance of its eigenvalues; boundary_strategy and
-    boundary_table, which know the channels and weights, take
-    tau = EIG_RTOL * linalg.combination_scale instead, which is never
-    smaller and also holds where Z cancels far below its terms.
-    """
-    values = eig_hermitian(z).values
-    return _power_class(values, eig_tolerance(values))
-
-
 def _power_class(values, tau):
     """Class of eigenvalues (N,), or an object array of the classes of a
-    stack (..., N), each row's top eigenvalue judged against its tau."""
+    stack (..., N): FULL, ZERO or FREE as each top eigenvalue lies above
+    tau, below -tau or between.  boundary_strategy and boundary_table take
+    tau = EIG_RTOL * linalg.combination_scale, which holds where Z cancels
+    far below its terms; verify.power_rule, which has Z alone, takes
+    linalg.eig_tolerance of its eigenvalues, never larger."""
     mu_max = values[..., -1]
     # 0 below -tau, 2 above tau, 1 in the band
     return _CLASS_BY_SIGN[(mu_max > tau).astype(np.intp) - (mu_max < -tau) + 1]
@@ -279,7 +249,7 @@ def boundary_strategy(channels, lam, e, p_free: float | None = None) -> Boundary
     interior rows next to it; only if that limit is still tied does the
     span rule pick it.  The power follows class_power for the full/free/zero
     class of the same top eigenvalue, judged against EIG_RTOL times the
-    combination scale of Z's terms (see power_rule); for the Free class the
+    combination scale of Z's terms (see _power_class); for the Free class the
     caller may pick any ``p_free`` in [0, 1] (default 1.0).
     """
     lam = check_simplex_weight(lam)
@@ -377,7 +347,7 @@ def sweep_boundary(
         raise ValueError(f"{len(h)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
-    _check_budget(simplex_grid_size(len(h), step), "grid rows")
+    _check_budget(simplex_grid_size(len(h), step), "grid rows", DEFAULT_POINT_BUDGET)
     grid = simplex_grid(len(h), step)
     # Only the classes and gains are kept: the directions go before the fan-out.
     classes, unit = boundary_table(h, grid, e)[1:]
@@ -386,7 +356,8 @@ def sweep_boundary(
     free = classes == PowerClass.FREE
     n_free = int(np.count_nonzero(free)) if needs_power_control(h.shape[1], e) else 0
     if n_free:
-        _check_budget(len(grid) + n_free * (p_free_samples - 1), "rows after the free fan-out")
+        n_rows = len(grid) + n_free * (p_free_samples - 1)
+        _check_budget(n_rows, "rows after the free fan-out", DEFAULT_POINT_BUDGET)
         rows = np.repeat(rows, np.where(free, p_free_samples, 1))
         levels = np.ones(len(rows))
         levels[free[rows]] = np.tile(np.linspace(0.0, 1.0, p_free_samples), n_free)
@@ -394,91 +365,6 @@ def sweep_boundary(
     return grid[rows], power, classes[rows], power[:, None] * unit[rows]
 
 
-def _check_budget(n_rows: int, what: str) -> None:
-    if n_rows > DEFAULT_POINT_BUDGET:
-        raise ValueError(
-            f"sweep would produce {n_rows} {what}, above the budget of {DEFAULT_POINT_BUDGET}"
-        )
-
-
-def segment_covariance(qx, qy, t: float) -> np.ndarray:
-    """Convex combination t Qx + (1 - t) Qy of two feasible covariances.
-
-    Gains are exactly bilinear, so the gain tuple of the result is the
-    same convex combination of the input gain tuples.
-    """
-    a = np.asarray(qx, dtype=np.complex128)
-    b = np.asarray(qy, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"covariance shapes differ: {a.shape} vs {b.shape}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    return t * a + (1.0 - t) * b
-
-
-def full_power_completion(p, channels, target: int) -> np.ndarray:
-    """Raise a covariance to full power without touching off-target gains.
-
-    Adds the residual power along the projection of the target channel
-    onto the orthogonal complement of all other channels, so the gain at
-    ``target`` (0-based position in ``channels``) strictly increases while
-    every other gain is unchanged.  Requires at least as many antennas as
-    receivers and linearly independent channels.
-    """
-    q = np.asarray(p, dtype=np.complex128)
-    h = as_channels(channels)
-    k, n = h.shape
-    if not 0 <= target < k:
-        raise ValueError(f"target must be in 0..{k - 1}, got {target}")
-    if q.shape != (n, n):
-        raise ValueError(f"covariance shape {q.shape} does not match channel dim {n}")
-    if n < k:
-        raise ValueError(f"needs n_antennas >= receivers, got {n} < {k}")
-    trace = float(np.trace(q).real)
-    if trace >= 1.0 - 1e-12:
-        raise ValueError("already full power (trace >= 1)")
-    proj = projector_complement(np.delete(h, target, axis=0), dim=n)
-    d = proj @ h[target]
-    nd2 = float(np.real(np.vdot(d, d)))
-    if nd2 <= (RANK_RTOL * np.linalg.norm(h[target])) ** 2:
-        raise ValueError("projected target channel is numerically zero")
-    return q + (1.0 - trace) * np.outer(d, d.conj()) / nd2
-
-
-def random_feasible_covariance(seed: int, n: int, rank: int | None = None) -> np.ndarray:
-    """Deterministic random PSD covariance of rank ``rank`` (default n) and
-    trace drawn from [0.05, 0.95], so strictly below full power.
-
-    The eigenvalues are bounded away from zero relative to the trace, so
-    the requested rank is achieved decisively.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = n if rank is None else int(rank)
-    if not 1 <= r <= n:
-        raise ValueError(f"rank must be in 1..{n}, got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    basis, _ = np.linalg.qr(g)
-    weights = rng.uniform(0.1, 1.0, r)
-    trace = float(rng.uniform(0.05, 0.95))
-    weights = weights / weights.sum() * trace
-    return (basis * weights) @ basis.conj().T
-
-
-def hyperplane_bound(channels, lam, e) -> float:
-    """Supporting-hyperplane value max(0, mu_max(Z)) for the weighted gains.
-
-    For every feasible covariance Q, sum_l lam_l e_l x_l(Q) never exceeds
-    this bound; full-class boundary strategies attain it.
-    """
-    lam = check_simplex_weight(lam)
-    z = weighted_combination(channels, lam, check_direction(e))
-    es = eig_hermitian(z, combination_scale(channels, lam))
-    return max(0.0, float(es.values[-1]))
-
-
-def weighted_objective(gains, lam, e) -> float:
-    """Weighted sum of gains sum_l lam_l e_l x_l."""
-    x = np.asarray(gains, dtype=float)
-    return float(np.sum(x * np.asarray(lam, dtype=float) * np.asarray(e, dtype=float)))
+def _check_budget(n_rows: int, what: str, budget: int) -> None:
+    if n_rows > budget:
+        raise ValueError(f"sweep would produce {n_rows} {what}, above the budget of {budget}")

@@ -265,8 +265,10 @@ def test_verify_hyperplane_passes_over_several_blocks():
     assert [c.name for c in checks if not c.ok] == []
 
 
-def test_verify_checks_hold_python_scalars():
-    for c in run_suite("all", trials=5):
+# One trial leaves pareto-oracle no row for a weakened copy.
+@pytest.mark.parametrize("trials", [5, 1])
+def test_verify_checks_hold_python_scalars(trials):
+    for c in run_suite("all", trials=trials):
         assert type(c.ok) is bool, c.name
         assert type(c.value) is float and type(c.tol) is float, c.name
 
@@ -603,5 +605,5 @@ def test_sweeps_do_not_load_openssl(tmp_path):
     _assert_sweeps_leave_unloaded(tmp_path, "_hashlib")
 
 
-def test_sweeps_do_not_load_the_verify_suites_or_nullshape(tmp_path):
-    _assert_sweeps_leave_unloaded(tmp_path, "gainregion.verify", "gainregion.nullshape")
+def test_sweeps_do_not_load_the_verify_suites(tmp_path):
+    _assert_sweeps_leave_unloaded(tmp_path, "gainregion.verify")

@@ -27,17 +27,18 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-# Runs in a fresh interpreter: the test process has imported nullshape already.
+# Runs in a fresh interpreter: the test process has imported verify already.
 _LAZY_RUN = """
 import sys
 import gainregion
 
-assert "gainregion.nullshape" not in sys.modules
-constraints = gainregion.null_constraints
-from gainregion import nullshape
+assert "gainregion.verify" not in sys.modules
+lazy = {name: getattr(gainregion, name) for name in (
+    "null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence")}
+from gainregion import verify
 
-assert constraints is nullshape.null_constraints
-assert gainregion.verify_gain_equivalence is nullshape.verify_gain_equivalence
+for name, value in lazy.items():
+    assert value is getattr(verify, name), name
 """
 
 

@@ -7,12 +7,11 @@ from gainregion.linalg import (
     eig_hermitian,
     fix_phase,
     outer_product,
-    projector_complement,
-    projector_onto,
     split_ties,
     tied_blocks,
     weighted_combination,
 )
+from gainregion.verify import projector_complement, projector_onto
 
 from conftest import random_channels
 

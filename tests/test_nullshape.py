@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from gainregion.linalg import eig_hermitian, unit, weighted_combination
-from gainregion.nullshape import (
+from gainregion.linalg import eig_hermitian, weighted_combination
+from gainregion.region import boundary_eigensystem, boundary_strategy, unit_gains
+from gainregion.verify import (
     eigenvalue_structure,
     null_constraints,
     projected_mrt,
+    unit,
     verify_gain_equivalence,
 )
-from gainregion.region import boundary_eigensystem, boundary_strategy, unit_gains
 
 from conftest import random_channels
 

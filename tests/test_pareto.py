@@ -17,27 +17,25 @@ from gainregion.pareto import (
     ParameterPoint,
     ReceiverRule,
     UtilitySpec,
-    alignment_search,
     pareto_filter,
     pareto_filter_bruteforce,
     pareto_strategies,
     strategy_gain_matrix,
     sweep_axes,
     sweep_utility_region,
-    two_user_boundary_vector,
-    two_user_combination,
     utilities,
     utilities_at,
-    verify_two_user_identity,
-    zf_beamformer,
 )
 from gainregion.linalg import outer_product
-from gainregion.region import (
-    PowerClass,
-    boundary_strategy,
+from gainregion.region import PowerClass, boundary_strategy
+from gainregion.verify import (
+    alignment_search,
     full_power_completion,
     power_gain,
-    random_feasible_covariance,
+    two_user_boundary_vector,
+    two_user_combination,
+    verify_two_user_identity,
+    zf_beamformer,
 )
 
 from conftest import BROADCAST3, random_channels

@@ -12,7 +12,6 @@ from gainregion.linalg import (
     eig_hermitian,
     eig_tolerance,
     outer_product,
-    projector_complement,
     tied_blocks,
     weighted_combination,
 )
@@ -23,18 +22,21 @@ from gainregion.region import (
     boundary_table,
     check_simplex_weight,
     class_power,
-    full_power_completion,
-    hyperplane_bound,
     needs_power_control,
-    power_gain,
-    power_rule,
-    random_feasible_covariance,
-    segment_covariance,
     simplex_grid,
     simplex_grid_size,
     strategy_gains,
     sweep_boundary,
     unit_gains,
+)
+from gainregion.verify import (
+    full_power_completion,
+    hyperplane_bound,
+    power_gain,
+    power_rule,
+    projector_complement,
+    random_feasible_covariance,
+    segment_covariance,
     weighted_objective,
 )
 
