@@ -12,11 +12,12 @@ classes and gains; a ``UtilitySweep``'s parameter axes and utilities),
 never per-row objects.  Rows are formatted and written in blocks of at most
 ``_WRITE_BLOCK``, so the writer holds one block of rows in memory, never
 the whole table; a larger block would cut the fixed cost of each kernel
-call and raise peak memory.  Unfiltered ``sweep-rates`` cuts its blocks
-from ``UtilitySweep.slabs()`` as each slab is evaluated (a block ends at a
-slab's end), so it never holds the utility cloud either, only one slab of
-about ``pareto._SLAB_ROWS`` rows; with ``--filter`` the filter reads the
-whole cloud, and each block gathers its kept rows from it.
+call and raise peak memory.  ``sweep-rates`` reads its rows through one
+loop over ``UtilitySweep.chunks()``: every grid row when unfiltered, the
+kept rows with ``--filter``, cutting each chunk of about
+``pareto._SLAB_ROWS`` rows into blocks.  So an unfiltered run never holds
+the utility cloud, only one chunk; with ``--filter`` the filter reads the
+whole cloud, and the writer evaluates the kept rows again, chunk by chunk.
 
 ``_format17`` is the kernel: it formats a block's floats with array
 operations, calling format() only for values outside fixed notation.  Each
@@ -43,7 +44,6 @@ import numpy as np
 
 from . import __version__
 from .network import (
-    Scenario,
     ScenarioFormatError,
     direction_vector,
     generate_channels,
@@ -328,7 +328,8 @@ def cmd_sweep_rates(args) -> int:
     noise = snr_to_noise(args.snr_db) if args.snr_db is not None else scenario.noise_power
     spec = UtilitySpec.from_scenario(scenario, noise_power=noise)
     sweep = sweep_utility_region(scenario, spec, args.step, point_budget=args.budget)
-    keep = pareto_filter(sweep.utilities) if args.filter else range(len(sweep))
+    keep = pareto_filter(sweep.utilities) if args.filter else None
+    n_rows = len(sweep) if keep is None else len(keep)
     columns = list(sweep.parameter_columns) + list(sweep.utility_columns)
     meta = {
         "generator": f"gainregion {__version__} sweep-rates",
@@ -336,7 +337,7 @@ def cmd_sweep_rates(args) -> int:
         "noise_power": _fmt(noise),
         "step": _fmt(args.step),
         "filtered": str(bool(args.filter)).lower(),
-        "rows": len(keep),
+        "rows": n_rows,
         "grid_points": len(sweep),
     }
 
@@ -344,29 +345,16 @@ def cmd_sweep_rates(args) -> int:
     # each repeated across the grid, so each is formatted once.
     tables = [_axis_table(ax.values) for ax in sweep.axes]
 
-    def block(idx, utilities):
-        axes = [t.take(j).view(np.uint8).reshape(len(j), -1)
-                for t, j in zip(tables, np.unravel_index(idx, sweep.shape))]
-        return [*axes, _fields(utilities, b"\n")]
-
     def blocks():
-        # Unfiltered rows come slab by slab, so the cloud is never built.
-        # Kept rows stay a list: an index array over the whole grid would
-        # add to peak memory, so only each block's slice becomes one.
-        if args.filter:
-            for start in range(0, len(keep), _WRITE_BLOCK):
-                idx = np.asarray(keep[start : start + _WRITE_BLOCK], dtype=np.intp)
-                yield block(idx, sweep.utilities[idx])
-            return
-        first = 0
-        for slab in sweep.slabs():
-            for start in range(0, len(slab), _WRITE_BLOCK):
-                rows = slab[start : start + _WRITE_BLOCK]
-                yield block(np.arange(first + start, first + start + len(rows)), rows)
-            first += len(slab)
+        for ix, utilities in sweep.chunks(keep):
+            for start in range(0, len(utilities), _WRITE_BLOCK):
+                rows = slice(start, start + _WRITE_BLOCK)
+                axes = [t.take(j[rows]).view(np.uint8).reshape(-1, t.itemsize)
+                        for t, j in zip(tables, ix)]
+                yield [*axes, _fields(utilities[rows], b"\n")]
 
     _write_csv(args.out, meta, columns, blocks())
-    print(f"wrote {args.out}: {len(keep)} rows from {len(sweep)} grid points")
+    print(f"wrote {args.out}: {n_rows} rows from {len(sweep)} grid points")
     return 0
 
 

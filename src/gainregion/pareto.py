@@ -19,10 +19,11 @@ weights, times the ``class_power`` of each row's class (with the power
 axis as the FREE levels, where there is one), times its group split, form
 one small array per (transmitter, receiver) that broadcasts over the
 whole grid; no per-weight strategy object is built.  The utilities are
-then evaluated in slabs of consecutive first-axis indices, about
-``_SLAB_ROWS`` rows each, only when read: an unfiltered writer consumes one
-slab at a time and never holds the whole cloud.  ``utilities_at`` is the
-scalar oracle for any row.
+evaluated only when read, by one reader, ``UtilitySweep.chunks``: it takes
+any flat row indices (every row, or a filter's kept rows) and gathers each
+run of about ``_SLAB_ROWS`` of them from the gain fields, so a writer holds
+one run at a time, never the whole cloud.  ``utilities_at`` is the scalar
+oracle for any row.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
@@ -296,10 +297,9 @@ def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
     return fields
 
 
-# About this many rows make one slab of the joint utility evaluation.  A slab
-# is a run of whole leading-axis indices, or one index when that alone holds
-# more rows.  It bounds an unfiltered sweep's memory, and grouping indices
-# keeps the numpy passes few when the trailing axes are short.
+# About this many rows make one chunk of the joint utility evaluation.  It
+# bounds an unfiltered sweep's memory, and is large enough that the numpy
+# passes over a chunk's gathers stay few.
 _SLAB_ROWS = 4096
 
 
@@ -311,12 +311,11 @@ class UtilitySweep:
     ``parameter_point(i)`` (as a ParameterPoint) or ``parameter_row(i)``
     (as one row of the CSV parameter columns).
 
-    The utilities are evaluated in slabs of consecutive leading-axis
-    indices of about ``_SLAB_ROWS`` rows each, from the gain fields that
-    ``sweep_utility_region`` built.  ``slabs()`` yields them in row order
-    without keeping them, so a caller that consumes rows in order holds one
-    slab at a time; ``utilities`` is their concatenation, evaluated at its
-    first read and then kept, after which ``slabs()`` yields views of it.
+    ``chunks(rows)`` is the one reader of the utilities: it evaluates any
+    rows, in runs of at most ``_SLAB_ROWS``, from the gain fields that
+    ``sweep_utility_region`` built, and keeps none of them, so a caller
+    that consumes them run by run holds one run at a time.  ``utilities``
+    is every row read through it, evaluated at its first read and then kept.
     """
 
     def __init__(self, scenario: Scenario, axes: list[SweepAxis], spec: UtilitySpec, fields: dict):
@@ -332,45 +331,47 @@ class UtilitySweep:
 
     @property
     def utilities(self) -> np.ndarray:
-        """The (grid points, receivers) utility cloud: ``slabs()`` concatenated."""
+        """The (grid points, receivers) utility cloud: ``chunks()`` concatenated."""
         if self._utilities is None:
             out = np.empty((len(self), self._spec.n_receivers))
             start = 0
-            for slab in self.slabs():
-                out[start : start + len(slab)] = slab
-                start += len(slab)
+            for _, u in self.chunks():
+                out[start : start + len(u)] = u
+                start += len(u)
             self._utilities = out
         return self._utilities
 
-    def slabs(self):
-        """The utility rows in order, as (rows, receivers) arrays of whole leading indices."""
-        slab_n = math.prod(self.shape[1:])
-        per = max(1, _SLAB_ROWS // slab_n)
-        for i0 in range(0, self.shape[0], per):
-            i1 = min(i0 + per, self.shape[0])
-            if self._utilities is None:
-                yield self._evaluate(i0, i1)
-            else:
-                yield self._utilities[i0 * slab_n : i1 * slab_n]
+    def chunks(self, rows=None):
+        """``(ix, utilities)`` for consecutive runs of at most ``_SLAB_ROWS`` of
+        the flat grid indices ``rows`` (every row in order when None).
 
-    def _evaluate(self, i0: int, i1: int) -> np.ndarray:
-        """Utility rows of leading indices i0..i1-1.  Each sum starts from zeros
-        and adds its rule's transmitters in rule order, so no value depends on
-        where a slab starts or ends."""
-        part = (i1 - i0, *self.shape[1:])
-        out = np.empty((math.prod(part), self._spec.n_receivers))
+        ``ix`` holds each row's index along every axis, and ``utilities`` the
+        rows' (rows, receivers) utilities.  Each sum starts from zeros and adds
+        its rule's transmitters in rule order, so no value depends on which
+        rows share a run.
+        """
+        n = len(self) if rows is None else len(rows)
+        fields = {
+            tid: [np.broadcast_to(f, self.shape) for f in per_receiver]
+            for tid, per_receiver in self._fields.items()
+        }
 
-        def total(tids, j):
-            acc = np.zeros(part)
+        def total(tids, j, ix):
+            acc = np.zeros(len(ix[0]))
             for tid in tids:
-                acc = acc + np.broadcast_to(self._fields[tid][j], self.shape)[i0:i1]
+                acc = acc + fields[tid][j][ix]
             return acc
 
         sigma2 = self._spec.noise_power
-        for j, rule in enumerate(self._spec.rules):
-            signal, interference = total(rule.signal, j), total(rule.interference, j)
-            out[:, j] = np.log2(1.0 + signal / (sigma2 + interference)).ravel()
-        return out
+        for start in range(0, n, _SLAB_ROWS):
+            stop = min(start + _SLAB_ROWS, n)
+            flat = np.arange(start, stop) if rows is None else np.asarray(rows[start:stop], np.intp)
+            ix = np.unravel_index(flat, self.shape)
+            out = np.empty((len(flat), self._spec.n_receivers))
+            for j, rule in enumerate(self._spec.rules):
+                signal, interference = total(rule.signal, j, ix), total(rule.interference, j, ix)
+                out[:, j] = np.log2(1.0 + signal / (sigma2 + interference))
+            yield ix, out
 
     @property
     def parameter_columns(self) -> tuple[str, ...]:
@@ -414,7 +415,7 @@ def sweep_utility_region(
     lexicographic order.  Grids larger than ``point_budget`` are refused
     after counting, before any axis is built.  Every refusal and every
     boundary table happens here; the returned ``UtilitySweep`` evaluates
-    the utilities, slab by slab, only when they are read.
+    the utilities, run by run, only when they are read.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -42,8 +43,39 @@ for name, value in lazy.items():
 """
 
 
-def test_nullshape_names_resolve_before_nullshape_is_imported():
+def test_lazy_names_resolve_from_verify_without_loading_it():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _LAZY_RUN], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted((ROOT / "src" / "gainregion").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports and never reads, apart from ``__future__``
+    imports and the names its ``__all__`` lists."""
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported |= {c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted(imported - read - exported)
+
+
+def test_every_imported_name_is_read():
+    unread = {}
+    for path in SCANNED:
+        names = _unread_imports(ast.parse(path.read_text(), str(path)))
+        if names:
+            unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}

@@ -279,23 +279,26 @@ def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
     ],
     ids=["ic3x3", "mixed-n2", "one-axis"],
 )
-def test_slabs_are_the_utilities_in_bounded_runs_of_leading_indices(make, step, kinds):
+def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds):
     s = make()
     sweep = sweep_utility_region(s, step=step)
     assert {ax.kind for ax in sweep.axes} == kinds
-    slabs = list(sweep.slabs())  # evaluated, before any read of utilities
-    per_index = len(sweep) // sweep.shape[0]
-    assert len(slabs) > 1
-    for slab in slabs:
-        assert slab.shape[1] == s.n_receivers
-        assert len(slab) % per_index == 0
-        assert len(slab) <= max(pareto._SLAB_ROWS, per_index)
-    # A second sweep evaluates its cloud from its own slabs; both are bitwise equal.
+    chunks = list(sweep.chunks())  # evaluated, before any read of utilities
+    assert len(chunks) > 1
+    start = 0
+    for ix, u in chunks:
+        assert u.shape[1] == s.n_receivers
+        assert len(u) <= pareto._SLAB_ROWS
+        want = np.unravel_index(np.arange(start, start + len(u)), sweep.shape)
+        assert all(np.array_equal(a, b) for a, b in zip(ix, want, strict=True))
+        start += len(u)
+    # A second sweep evaluates its cloud from its own chunks; both are bitwise equal.
     cloud = sweep_utility_region(s, step=step).utilities
     assert cloud.shape == (len(sweep), s.n_receivers)
-    assert np.concatenate(slabs).tobytes() == cloud.tobytes()
+    assert np.concatenate([u for _, u in chunks]).tobytes() == cloud.tobytes()
     # The reference: one leading index at a time, each sum from zeros in rule order.
     fields, spec = pareto._gain_fields(s, sweep.axes), UtilitySpec.from_scenario(s)
+    per_index = len(sweep) // sweep.shape[0]
     for i0 in range(sweep.shape[0]):
         for j, rule in enumerate(spec.rules):
             signal = np.zeros(sweep.shape[1:])
@@ -307,9 +310,18 @@ def test_slabs_are_the_utilities_in_bounded_runs_of_leading_indices(make, step, 
             want = np.log2(1.0 + signal / (spec.noise_power + interference)).ravel()
             rows = cloud[i0 * per_index : (i0 + 1) * per_index, j]
             assert rows.tobytes() == want.tobytes()
-    # Once read, the cloud is kept and the slabs are its rows.
+    # A sorted subset of rows, one more than a chunk holds, straddles a chunk
+    # edge; its rows are the reference's rows, bitwise.
+    subset = np.sort(np.random.default_rng(7).choice(
+        len(sweep), pareto._SLAB_ROWS + 1, replace=False)).tolist()
+    picked = list(sweep.chunks(subset))
+    assert [len(u) for _, u in picked] == [pareto._SLAB_ROWS, 1]
+    ix = [np.concatenate(axis) for axis in zip(*(ix for ix, _ in picked))]
+    assert np.array_equal(np.ravel_multi_index(ix, sweep.shape), subset)
+    assert np.concatenate([u for _, u in picked]).tobytes() == cloud[subset].tobytes()
+    # Once read, the cloud is kept.
     assert sweep.utilities is sweep.utilities
-    assert np.concatenate(list(sweep.slabs())).tobytes() == cloud.tobytes()
+    assert sweep.utilities.tobytes() == cloud.tobytes()
 
 
 def test_sweep_matches_scalar_path():

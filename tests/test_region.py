@@ -16,7 +16,6 @@ from gainregion.linalg import (
     weighted_combination,
 )
 from gainregion.region import (
-    BoundaryStrategy,
     PowerClass,
     boundary_strategy,
     boundary_table,
