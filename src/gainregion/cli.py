@@ -15,7 +15,7 @@ the whole table; a larger block would cut the fixed cost of each kernel
 call and raise peak memory.  ``sweep-rates`` reads its rows through one
 loop over ``UtilitySweep.chunks()``: every grid row when unfiltered, the
 kept rows with ``--filter``, cutting each chunk of about
-``pareto._SLAB_ROWS`` rows into blocks.  So an unfiltered run never holds
+``pareto._CHUNK_ROWS`` rows into blocks.  So an unfiltered run never holds
 the utility cloud, only one chunk; with ``--filter`` the filter reads the
 whole cloud, and the writer evaluates the kept rows again, chunk by chunk.
 

@@ -17,13 +17,14 @@ the sweep only through the columns of its boundary table
 ``boundary_strategy`` bit for bit): the unit-power gains at its simplex
 weights, times the ``class_power`` of each row's class (with the power
 axis as the FREE levels, where there is one), times its group split, form
-one small array per (transmitter, receiver) that broadcasts over the
-whole grid; no per-weight strategy object is built.  The utilities are
-evaluated only when read, by one reader, ``UtilitySweep.chunks``: it takes
-any flat row indices (every row, or a filter's kept rows) and gathers each
-run of about ``_SLAB_ROWS`` of them from the gain fields, so a writer holds
-one run at a time, never the whole cloud.  ``utilities_at`` is the scalar
-oracle for any row.
+one gain table per transmitter over its own axes alone (its weights, its
+group's split and its power levels); no per-weight strategy object is
+built.  The utilities are evaluated only when read, by one reader,
+``UtilitySweep.chunks``: it takes any flat row indices (every row, or a
+filter's kept rows), in runs of about ``_CHUNK_ROWS``, and reads each
+transmitter's gains at one table offset per row, so a writer holds one run
+at a time, never the whole cloud.  ``utilities_at`` is the scalar oracle
+for any row.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
@@ -259,48 +260,39 @@ def sweep_axes(s: Scenario, step: float) -> list[SweepAxis]:
 
 
 def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
-    """Gain of every transmitter at every receiver over the joint grid.
+    """Each transmitter's gain table over its own axes: ``fields[tid]`` is
+    ``(table, strides)``.
 
-    ``fields[tid][j]`` is unit gain x power x split (in that order) at
-    receiver position j, as an array with one dimension per axis that has
-    length 1 except along the transmitter's own lambda, power and split
-    axes, so it broadcasts against the whole grid.
+    ``table`` is C-contiguous, (K, G * S * P) over its G simplex weights, S
+    split fractions and P FREE power levels, levels fastest; with no split
+    or power axis it has one fraction or level of 1.0, ``class_power``'s
+    default.  Each entry is unit gain x power x split, in that order.
+    ``strides`` maps the position in ``axes`` of each own axis to its step
+    along a table row.
     """
-    axis_by = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
-
-    def along(values: np.ndarray, *positions: int) -> np.ndarray:
-        shape = [1] * len(axes)
-        for pos, n in zip(positions, values.shape):
-            shape[pos] = n
-        return values.reshape(shape)
-
+    values = {(ax.kind, ax.label): ax.values for ax in axes}
+    position = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
     fields = {}
     for t in s.transmitters:
-        lam_axis = axis_by[("lambda", t.tid)]
-        _, classes, gains = boundary_table(
-            s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
-        )
-        power_axis = axis_by.get(("power", t.tid))
-        if power_axis is None:
-            power = along(class_power(classes), lam_axis)
-        else:
-            levels = axes[power_axis].values[:, 0]
-            power = along(class_power(classes[:, None], levels), lam_axis, power_axis)
         group = s.group_of(t.tid)
-        split_axis = axis_by.get(("split", group))
-        split = 1.0
-        if split_axis is not None:
-            split = along(axes[split_axis].values[:, group.index(t.tid)], split_axis)
-        fields[t.tid] = [
-            along(gains[:, j], lam_axis) * power * split for j in range(s.n_receivers)
-        ]
+        own = (("lambda", t.tid), ("split", group), ("power", t.tid))
+        _, classes, gains = boundary_table(
+            s.channels_for(t.tid), values[own[0]], direction_vector(s, t.tid)
+        )
+        split = values.get(own[1], np.ones((1, len(group))))[:, group.index(t.tid)]
+        levels = values.get(own[2], np.ones((1, 1)))[:, 0]
+        power = class_power(classes[:, None], levels)
+        table = gains.T[:, :, None, None] * power[:, None] * split[:, None]
+        steps = (len(split) * len(levels), len(levels), 1)
+        strides = {position[key]: n for key, n in zip(own, steps) if key in position}
+        fields[t.tid] = (np.ascontiguousarray(table.reshape(len(table), -1)), strides)
     return fields
 
 
 # About this many rows make one chunk of the joint utility evaluation.  It
 # bounds an unfiltered sweep's memory, and is large enough that the numpy
 # passes over a chunk's gathers stay few.
-_SLAB_ROWS = 4096
+_CHUNK_ROWS = 4096
 
 
 class UtilitySweep:
@@ -312,10 +304,11 @@ class UtilitySweep:
     (as one row of the CSV parameter columns).
 
     ``chunks(rows)`` is the one reader of the utilities: it evaluates any
-    rows, in runs of at most ``_SLAB_ROWS``, from the gain fields that
-    ``sweep_utility_region`` built, and keeps none of them, so a caller
-    that consumes them run by run holds one run at a time.  ``utilities``
-    is every row read through it, evaluated at its first read and then kept.
+    rows, in runs of at most ``_CHUNK_ROWS``, from the per-transmitter gain
+    tables that ``sweep_utility_region`` built, and keeps none of them, so
+    a caller that consumes them run by run holds one run at a time.
+    ``utilities`` is every row read through it, evaluated at its first read
+    and then kept.
     """
 
     def __init__(self, scenario: Scenario, axes: list[SweepAxis], spec: UtilitySpec, fields: dict):
@@ -342,34 +335,31 @@ class UtilitySweep:
         return self._utilities
 
     def chunks(self, rows=None):
-        """``(ix, utilities)`` for consecutive runs of at most ``_SLAB_ROWS`` of
+        """``(ix, utilities)`` for consecutive runs of at most ``_CHUNK_ROWS`` of
         the flat grid indices ``rows`` (every row in order when None).
 
         ``ix`` holds each row's index along every axis, and ``utilities`` the
-        rows' (rows, receivers) utilities.  Each sum starts from zeros and adds
-        its rule's transmitters in rule order, so no value depends on which
-        rows share a run.
+        rows' (rows, receivers) utilities.  Each transmitter's gains are read
+        from its table at one offset per row.  Each sum starts from zeros and
+        adds its rule's transmitters in rule order, so no value depends on
+        which rows share a run.
         """
         n = len(self) if rows is None else len(rows)
-        fields = {
-            tid: [np.broadcast_to(f, self.shape) for f in per_receiver]
-            for tid, per_receiver in self._fields.items()
-        }
-
-        def total(tids, j, ix):
-            acc = np.zeros(len(ix[0]))
-            for tid in tids:
-                acc = acc + fields[tid][j][ix]
-            return acc
-
         sigma2 = self._spec.noise_power
-        for start in range(0, n, _SLAB_ROWS):
-            stop = min(start + _SLAB_ROWS, n)
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
             flat = np.arange(start, stop) if rows is None else np.asarray(rows[start:stop], np.intp)
             ix = np.unravel_index(flat, self.shape)
+            offsets = {
+                tid: sum(ix[axis] * step for axis, step in strides.items())
+                for tid, (_, strides) in self._fields.items()
+            }
             out = np.empty((len(flat), self._spec.n_receivers))
             for j, rule in enumerate(self._spec.rules):
-                signal, interference = total(rule.signal, j, ix), total(rule.interference, j, ix)
+                signal, interference = (
+                    sum((self._fields[t][0][j].take(offsets[t]) for t in tids), np.zeros(len(flat)))
+                    for tids in (rule.signal, rule.interference)
+                )
                 out[:, j] = np.log2(1.0 + signal / (sigma2 + interference))
             yield ix, out
 
@@ -407,20 +397,25 @@ def sweep_utility_region(
     step: float = 0.1,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> UtilitySweep:
-    """Build the joint parameter grid and its gain fields; the utilities follow lazily.
+    """Build the joint parameter grid and its gain tables; the utilities follow lazily.
 
     The enumeration is the Cartesian product of every transmitter's
     simplex grid, every multi-member group's split grid and, where power
     control applies, a power grid with the same spacing; rows come out in
-    lexicographic order.  Grids larger than ``point_budget`` are refused
-    after counting, before any axis is built.  Every refusal and every
-    boundary table happens here; the returned ``UtilitySweep`` evaluates
-    the utilities, run by run, only when they are read.
+    lexicographic order.  A spec whose receiver count differs from the
+    scenario's, or whose rules name a transmitter it lacks, is refused.
+    Grids larger than ``point_budget`` are refused after counting, before
+    any axis is built.  Every refusal and every boundary table happens
+    here; the returned ``UtilitySweep`` evaluates the utilities, run by
+    run, only when they are read.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
     if spec.n_receivers != s.n_receivers:
         raise ValueError("utility spec receiver count does not match the scenario")
+    unknown = sorted({t for r in spec.rules for t in r.signal + r.interference} - set(s.tids))
+    if unknown:
+        raise ValueError(f"utility spec names transmitters the scenario lacks: {unknown}")
     n_points = math.prod(simplex_grid_size(parts, step) for *_, parts in _axis_plan(s))
     _check_budget(n_points, "points", point_budget)
     axes = sweep_axes(s, step)

@@ -468,7 +468,7 @@ _BLOCK_EDGE_SCENARIOS = [
     (("--template", "ic", "--users", "3", "--antennas", "3", "--seed", "2"), "0.25", "lambda"),
     (("--template", "mixed", "--antennas", "3", "--seed", "2"), "0.5", "split"),
     (("--template", "ic", "--users", "3", "--antennas", "2", "--seed", "2"), "0.5", "power"),
-    # One axis of 5,151 rows: two slabs of utilities, split at row 4,096.
+    # One axis of 5,151 rows: two chunks of utilities, split at row 4,096.
     (("--skeleton", str(BROADCAST3), "--seed", "2"), "0.01", "lambda"),
 ]
 

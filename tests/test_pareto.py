@@ -27,7 +27,7 @@ from gainregion.pareto import (
     utilities_at,
 )
 from gainregion.linalg import outer_product
-from gainregion.region import PowerClass, boundary_strategy
+from gainregion.region import PowerClass, boundary_strategy, boundary_table, class_power
 from gainregion.verify import (
     alignment_search,
     full_power_completion,
@@ -270,6 +270,42 @@ def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
     assert built == []
 
 
+def broadcast_fields(s, axes):
+    """Unit gain x power x split of every transmitter at every receiver, built
+    apart from ``pareto._gain_fields``: ``fields[tid][j]`` has one dimension per
+    axis, of length 1 off the transmitter's own axes, so it broadcasts over
+    the whole grid."""
+    at = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
+
+    def along(values, *positions):
+        shape = [1] * len(axes)
+        for pos, n in zip(positions, values.shape):
+            shape[pos] = n
+        return values.reshape(shape)
+
+    fields = {}
+    for t in s.transmitters:
+        lam_axis = at[("lambda", t.tid)]
+        _, classes, gains = boundary_table(
+            s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
+        )
+        power_axis = at.get(("power", t.tid))
+        if power_axis is None:
+            power = along(class_power(classes), lam_axis)
+        else:
+            levels = axes[power_axis].values[:, 0]
+            power = along(class_power(classes[:, None], levels), lam_axis, power_axis)
+        group = s.group_of(t.tid)
+        split_axis = at.get(("split", group))
+        split = 1.0
+        if split_axis is not None:
+            split = along(axes[split_axis].values[:, group.index(t.tid)], split_axis)
+        fields[t.tid] = [
+            along(gains[:, j], lam_axis) * power * split for j in range(s.n_receivers)
+        ]
+    return fields
+
+
 @pytest.mark.parametrize(
     "make, step, kinds",
     [
@@ -288,7 +324,7 @@ def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds)
     start = 0
     for ix, u in chunks:
         assert u.shape[1] == s.n_receivers
-        assert len(u) <= pareto._SLAB_ROWS
+        assert len(u) <= pareto._CHUNK_ROWS
         want = np.unravel_index(np.arange(start, start + len(u)), sweep.shape)
         assert all(np.array_equal(a, b) for a, b in zip(ix, want, strict=True))
         start += len(u)
@@ -297,7 +333,7 @@ def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds)
     assert cloud.shape == (len(sweep), s.n_receivers)
     assert np.concatenate([u for _, u in chunks]).tobytes() == cloud.tobytes()
     # The reference: one leading index at a time, each sum from zeros in rule order.
-    fields, spec = pareto._gain_fields(s, sweep.axes), UtilitySpec.from_scenario(s)
+    fields, spec = broadcast_fields(s, sweep.axes), UtilitySpec.from_scenario(s)
     per_index = len(sweep) // sweep.shape[0]
     for i0 in range(sweep.shape[0]):
         for j, rule in enumerate(spec.rules):
@@ -313,15 +349,46 @@ def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds)
     # A sorted subset of rows, one more than a chunk holds, straddles a chunk
     # edge; its rows are the reference's rows, bitwise.
     subset = np.sort(np.random.default_rng(7).choice(
-        len(sweep), pareto._SLAB_ROWS + 1, replace=False)).tolist()
+        len(sweep), pareto._CHUNK_ROWS + 1, replace=False)).tolist()
     picked = list(sweep.chunks(subset))
-    assert [len(u) for _, u in picked] == [pareto._SLAB_ROWS, 1]
+    assert [len(u) for _, u in picked] == [pareto._CHUNK_ROWS, 1]
     ix = [np.concatenate(axis) for axis in zip(*(ix for ix, _ in picked))]
     assert np.array_equal(np.ravel_multi_index(ix, sweep.shape), subset)
     assert np.concatenate([u for _, u in picked]).tobytes() == cloud[subset].tobytes()
     # Once read, the cloud is kept.
     assert sweep.utilities is sweep.utilities
     assert sweep.utilities.tobytes() == cloud.tobytes()
+
+
+def test_chunks_of_unsorted_repeated_rows_are_those_rows_of_the_cloud():
+    s = generate_channels(84, mixed_skeleton(2))
+    sweep = sweep_utility_region(s, step=0.25)
+    # Transmitters 11 and 12 own a lambda axis, the split axis they share and
+    # a power axis each, with other transmitters' axes in between.
+    for tid in ("11", "12"):
+        own = [i for i, ax in enumerate(sweep.axes) if ax.label in (tid, ("11", "12"))]
+        assert [sweep.axes[i].kind for i in own] == ["lambda", "split", "power"]
+        assert np.any(np.diff(own) > 1)
+    # Unsorted rows, one chunk and 100 more; the last 60 repeat the 60 around
+    # the chunk edge.
+    rng = np.random.default_rng(23)
+    rows = rng.integers(0, len(sweep), pareto._CHUNK_ROWS + 100)
+    rows[-60:] = rows[pareto._CHUNK_ROWS - 30 : pareto._CHUNK_ROWS + 30]
+    assert np.any(np.diff(rows) < 0) and len(np.unique(rows)) < len(rows)
+    picked = list(sweep.chunks(rows.tolist()))
+    assert [len(u) for _, u in picked] == [pareto._CHUNK_ROWS, 100]
+    ix = [np.concatenate(axis) for axis in zip(*(ix for ix, _ in picked))]
+    assert np.array_equal(np.ravel_multi_index(ix, sweep.shape), rows)
+    assert np.concatenate([u for _, u in picked]).tobytes() == sweep.utilities[rows].tobytes()
+
+
+def test_sweep_refuses_a_spec_naming_transmitters_the_scenario_lacks():
+    s = ic_scenario(seed=84, users=2, antennas=2)
+    spec = UtilitySpec(
+        rules=(ReceiverRule(("1",), ("9",)), ReceiverRule(("2", "8"), ("1",))), noise_power=1.0
+    )
+    with pytest.raises(ValueError, match=r"transmitters the scenario lacks: \['8', '9'\]"):
+        sweep_utility_region(s, spec, step=0.5)
 
 
 def test_sweep_matches_scalar_path():
