@@ -19,14 +19,15 @@ kept rows with ``--filter``, cutting each chunk of about
 the utility cloud, only one chunk; with ``--filter`` the filter reads the
 whole cloud, and the writer evaluates the kept rows again, chunk by chunk.
 
-``_format17`` is the kernel: it formats a block's floats with array
-operations, calling format() only for values outside fixed notation.  Each
-field is a NUL-padded uint8 row followed by its separator, and a block is
-written as one ``bytes``: its fields side by side, without the padding.
-``sweep-rates`` formats each row of each parameter axis once, into one S
-string per row, and per block gathers those rows by the rows' axis indices,
-so only the utilities go through the kernel per block.  The axis tables are
-formatted in blocks of ``_WRITE_BLOCK`` rows too: a one-axis grid's axis is
+``_format17`` is the kernel: it formats a block's non-negative floats in
+fixed notation with array operations, and format() prints every other
+value (no sweep writes a negative one).  Each field is a NUL-padded uint8
+row followed by its separator, and a block is written as one ``bytes``: its
+fields side by side, without the padding.  ``sweep-rates`` formats each row
+of each parameter axis once, into one S string per row, and per block
+gathers those rows by the rows' axis indices, so only the utilities go
+through the kernel per block.  Axis tables are formatted and packed with
+array operations ``_WRITE_BLOCK`` rows at a time: a one-axis grid's axis is
 the whole grid, and one kernel call over it would peak far above the table.
 ``sweep-gain`` formats each block's weights and power, and its gains, in two
 kernel calls, and gathers each row's power class from its label.
@@ -65,12 +66,13 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# The %.17g kernel.  For 1e-4 <= |x| < 1e16, format(x, ".17g") is fixed
-# notation: the 17 significant digits of |x|, rounded half to even, with the
-# point after the digit of 10**E (E = floor(log10|x|)), then trailing zeros
+# The %.17g kernel.  For 1e-4 <= x < 1e16, format(x, ".17g") is fixed
+# notation: the 17 significant digits of x, rounded half to even, with the
+# point after the digit of 10**E (E = floor(log10 x)), then trailing zeros
 # and a bare point stripped.  _format17 finds E and those digits exactly on
 # whole arrays and lays out each value's bytes in three little-endian 64-bit
-# words, byte c of the 24 being column c.  format() prints every other value.
+# words, byte c of the 24 being column c.  format() prints every other value,
+# and every negative one (-0.0 too).
 #
 # Its tables are built at its first call, from Python lists and with the
 # array operations it runs anyway.  Built after the sweep, they can reuse
@@ -145,13 +147,6 @@ def _tables() -> tuple:
     return out
 
 
-def _shift_right(words, bits):
-    """Move each value's bytes ``bits // 8`` columns right; 0 < bits < 64."""
-    out = words << bits
-    out[1:] |= words[:-1] >> (64 - bits)
-    return out
-
-
 def _format17(values) -> np.ndarray:
     """``format(x, ".17g")`` of every float in ``values``, as bytes of dtype S."""
     decades, fixed, scale, quad, last_digit, layouts, fraction_shift = _tables()
@@ -185,16 +180,13 @@ def _format17(values) -> np.ndarray:
     digits[1:] = quad.take(high) | quad.take(low) << 32
     int_digits = digits >> 56  # lead digit at column 0
     int_digits[:-1] |= digits[1:] << 8
-    frac_digits = _shift_right(int_digits, fraction_shift.take(g))
+    bits = fraction_shift.take(g)  # 0 < bits < 64: where the fraction digits go
+    frac_digits = int_digits << bits
+    frac_digits[1:] |= int_digits[:-1] >> (64 - bits)
     layout = layouts.take(17 * g + last, axis=1)
     out = layout[0:3] | (int_digits & layout[3:6]) | (frac_digits & layout[6:9])
-    negative = np.signbit(flat)
-    if negative.any():
-        signed = _shift_right(out, 8)
-        signed[0] |= ord("-")
-        out = np.where(negative, signed, out)
     text = out.T.copy().view("S24").ravel()
-    other = np.flatnonzero(~fixed.take(g) & (flat != 0))
+    other = np.flatnonzero(~fixed.take(g) & (flat != 0) | np.signbit(flat))
     if other.size:
         text[other] = [format(v, ".17g").encode() for v in flat[other].tolist()]
     return text.reshape(x.shape)
@@ -234,11 +226,15 @@ def _csv_bytes(block) -> bytes:
 
 def _axis_table(values) -> np.ndarray:
     """Each row of an axis's 2-D values as one S string: its fields, each
-    followed by a comma.  Formatted ``_WRITE_BLOCK`` rows at a time."""
-    blocks = [
-        np.array([_csv_bytes([row]) for row in _fields(values[start : start + _WRITE_BLOCK])])
-        for start in range(0, len(values), _WRITE_BLOCK)
-    ]
+    followed by a comma.  Formatted ``_WRITE_BLOCK`` rows at a time; a stable
+    sort moves each row's NUL padding to its end, cut to the longest row."""
+    blocks = []
+    for start in range(0, len(values), _WRITE_BLOCK):
+        text = _fields(values[start : start + _WRITE_BLOCK])
+        pad = text == 0
+        text = np.take_along_axis(text, pad.argsort(axis=1, kind="stable"), axis=1)
+        width = text.shape[1] - pad.sum(axis=1).min()
+        blocks.append(np.ascontiguousarray(text[:, :width]).view(f"S{width}").ravel())
     return np.concatenate(blocks)
 
 

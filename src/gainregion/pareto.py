@@ -80,9 +80,10 @@ class ReceiverRule:
     interference: tuple[str, ...]
 
     def __post_init__(self):
-        clash = set(self.signal) & set(self.interference)
-        if clash:
-            raise ValueError(f"signal and interference sets overlap: {sorted(clash)}")
+        named = self.signal + self.interference
+        repeated = sorted({t for t in named if named.count(t) > 1})
+        if repeated:
+            raise ValueError(f"signal and interference sets overlap or repeat: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,18 @@ def strategy_gain_matrix(s: Scenario, strategies: dict) -> np.ndarray:
     )
 
 
+def _check_spec(s: Scenario, spec: UtilitySpec) -> None:
+    """Refuse a spec for another receiver count or naming unknown transmitters."""
+    if spec.n_receivers != s.n_receivers:
+        raise ValueError("utility spec receiver count does not match the scenario")
+    unknown = sorted({t for r in spec.rules for t in r.signal + r.interference} - set(s.tids))
+    if unknown:
+        raise ValueError(f"utility spec names transmitters the scenario lacks: {unknown}")
+
+
 def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.ndarray:
     """Utility tuple achieved at one parameter point."""
+    _check_spec(s, spec)
     gains = strategy_gain_matrix(s, pareto_strategies(s, point))
     return utilities(spec, s.tids, gains)
 
@@ -402,8 +413,7 @@ def sweep_utility_region(
     The enumeration is the Cartesian product of every transmitter's
     simplex grid, every multi-member group's split grid and, where power
     control applies, a power grid with the same spacing; rows come out in
-    lexicographic order.  A spec whose receiver count differs from the
-    scenario's, or whose rules name a transmitter it lacks, is refused.
+    lexicographic order.  ``_check_spec`` refuses a spec unfit for ``s``.
     Grids larger than ``point_budget`` are refused after counting, before
     any axis is built.  Every refusal and every boundary table happens
     here; the returned ``UtilitySweep`` evaluates the utilities, run by
@@ -411,11 +421,7 @@ def sweep_utility_region(
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
-    if spec.n_receivers != s.n_receivers:
-        raise ValueError("utility spec receiver count does not match the scenario")
-    unknown = sorted({t for r in spec.rules for t in r.signal + r.interference} - set(s.tids))
-    if unknown:
-        raise ValueError(f"utility spec names transmitters the scenario lacks: {unknown}")
+    _check_spec(s, spec)
     n_points = math.prod(simplex_grid_size(parts, step) for *_, parts in _axis_plan(s))
     _check_budget(n_points, "points", point_budget)
     axes = sweep_axes(s, step)

@@ -358,13 +358,15 @@ def test_unknown_transmitter_prints_the_message(tmp_path, capsys):
                 ("noise-bool", ("noise_power", True), "noise_power:"),
             ]
         ],
+        pytest.param(["sweep-gain", "--scenario", "{scen}", "--step", "0.5"], None,
+                     "several transmitters; pass --transmitter", id="gain-no-transmitter"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, argv, edit, message):
     # Counts that are not integers, document fields of another JSON type,
-    # an SNR whose noise power leaves the float range and a step whose
-    # reciprocal overflows are all refused by name, not truncated, cast,
-    # overflowed or refused later under another name.
+    # an SNR whose noise power leaves the float range, a step whose
+    # reciprocal overflows and a missing --transmitter are all refused by
+    # name, not truncated, cast, overflowed or refused later under another name.
     scen = tmp_path / "ic.json"
     assert run("gen", "--template", "ic", "--users", "3", "--antennas", "2",
                "--seed", "1", "--out", str(scen)) == 0
@@ -459,6 +461,31 @@ def test_format17_is_format_at_edges_and_special_values():
     # One value alone, and a 2-D block of the same values, give the same bytes.
     assert [cli._format17(v).tolist() for v in values] == expected
     assert cli._format17(values.reshape(2, -1)).ravel().tolist() == expected
+
+
+def per_row_axis_table(values) -> np.ndarray:
+    """The former ``cli._axis_table``: one ``_csv_bytes`` call per row."""
+    blocks = [
+        np.array([cli._csv_bytes([row])
+                  for row in cli._fields(values[start : start + cli._WRITE_BLOCK])])
+        for start in range(0, len(values), cli._WRITE_BLOCK)
+    ]
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_axis_table_is_the_per_row_packing(width):
+    # Zeros ("0"), dyadic values ("0.5"), values below 1e-4 (format()'s
+    # exponent notation) and values that need all 17 digits, mixed so that
+    # rows in a block differ in length, over two and a half blocks.
+    rng = np.random.default_rng(width)
+    n = 2 * cli._WRITE_BLOCK + 77
+    pool = [np.zeros(n), rng.integers(0, 9, n) / 8, rng.uniform(0, 1e-4, n), rng.uniform(0, 1, n)]
+    choice = rng.integers(0, len(pool), (n, width))
+    values = np.choose(choice, [np.broadcast_to(p[:, None], (n, width)) for p in pool])
+    table, expected = cli._axis_table(values), per_row_axis_table(values)
+    assert table.dtype == expected.dtype
+    assert table.tobytes() == expected.tobytes()
 
 
 # gen flags, step and the axis kind each scenario is there for: lambda axes

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import operator
 import re
 
@@ -179,6 +180,47 @@ def test_channel_key_without_a_receiver_is_refused():
     doc["channels"]["1"] = doc["channels"].pop("1/1")
     with pytest.raises(ScenarioFormatError, match=r"^channels\[1\]: key"):
         scenario_from_dict(doc)
+
+
+_IC = scenario_to_dict(generate_channels(84, ic_skeleton(3, 2)))
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("receivers",), 0, "receivers: must be >= 1"),
+        (("noise_power",), 0.0, "noise_power: must be positive"),
+        (("transmitters",), [], "transmitters: must not be empty"),
+        (("transmitters", 1, "id"), "1", "transmitters[1].id: duplicate id"),
+        (("transmitters", 0, "antennas"), 0, "transmitters[0].antennas: must be >= 1"),
+        (("transmitters", 0, "intended"), [4], "transmitters[0].intended: receiver indices"),
+        (("transmitters", 1), {"id": "2", "antennas": 3, "intended": [2], "channel_key": "1"},
+         "transmitters[1].antennas: channel key '1'"),
+        (("channels", "9/1"), _IC["channels"]["1/1"], "channels[9/1]: unknown channel key"),
+        (("channels", "1/4"), _IC["channels"]["1/1"], "channels[1/4]: receiver outside"),
+        (("channels", "1/1", 0, 0), math.inf, "channels[1/1]: non-finite"),
+        (("transmitters", 0, "antennas"), _MISSING, "transmitters[0].antennas: missing"),
+        (None, None, "document: invalid JSON"),
+    ],
+    ids=["receivers-0", "noise-0", "no-transmitters", "duplicate-id", "antennas-0",
+         "intended-range", "shared-key-antennas", "unknown-key", "receiver-range",
+         "non-finite", "missing-field", "invalid-json"],
+)
+def test_a_document_out_of_range_or_unreadable_is_refused_by_path(tmp_path, keys, value, message):
+    doc = json.loads(json.dumps(_IC))
+    if keys is None:
+        text = json.dumps(doc)[:-1]  # no closing brace
+    else:
+        parent = functools.reduce(operator.getitem, keys[:-1], doc)
+        if value is _MISSING:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        text = json.dumps(doc)
+    (tmp_path / "bad.json").write_text(text)
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}"):
+        load_scenario(tmp_path / "bad.json")
 
 
 def test_mixed_skeleton_receiver_sets():

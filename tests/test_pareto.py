@@ -87,6 +87,17 @@ def test_receiver_rule_rejects_overlap():
         ReceiverRule(("a",), ("a",))
 
 
+@pytest.mark.parametrize(
+    "signal, interference",
+    [(("1", "1"), ("2",)), (("1",), ("2", "2"))],
+    ids=["signal", "interference"],
+)
+def test_receiver_rule_rejects_a_repeated_transmitter(signal, interference):
+    # Both evaluators would count a repeated transmitter's gain twice.
+    with pytest.raises(ValueError, match=r"overlap or repeat: \['(1|2)'\]"):
+        ReceiverRule(signal, interference)
+
+
 def test_utility_spec_from_mixed_scenario():
     spec = UtilitySpec.from_scenario(mixed_skeleton())
     assert spec.rules[0] == ReceiverRule(("11",), ("12", "2"))
@@ -389,6 +400,25 @@ def test_sweep_refuses_a_spec_naming_transmitters_the_scenario_lacks():
     )
     with pytest.raises(ValueError, match=r"transmitters the scenario lacks: \['8', '9'\]"):
         sweep_utility_region(s, spec, step=0.5)
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ((ReceiverRule(("1", "2"), ()),), "receiver count does not match the scenario"),
+        ((ReceiverRule(("1",), ("9",)), ReceiverRule(("2",), ("1",))),
+         r"transmitters the scenario lacks: \['9'\]"),
+    ],
+    ids=["receiver-count", "unknown-id"],
+)
+def test_sweep_and_scalar_path_refuse_a_spec_alike(rules, message):
+    s = ic_scenario(seed=84, users=2, antennas=2)
+    point = sweep_utility_region(s, step=0.5).parameter_point(0)
+    spec = UtilitySpec(rules=rules, noise_power=1.0)
+    with pytest.raises(ValueError, match=message):
+        sweep_utility_region(s, spec, step=0.5)
+    with pytest.raises(ValueError, match=message):
+        utilities_at(s, spec, point)
 
 
 def test_sweep_matches_scalar_path():
