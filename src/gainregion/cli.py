@@ -355,7 +355,7 @@ def cmd_sweep_rates(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # No sweep needs the suites or the null-shaping module they load.
+    # No sweep needs the suites or the check-only mathematics.
     from .verify import run_suite, suite_names
 
     try:

@@ -9,17 +9,12 @@ A transmitter's strategy in a profile is a ``region.BoundaryStrategy``
 whose power is its boundary power times its power group split.
 
 Sweeps are pure maps over a deterministic parameter enumeration: rows are
-lexicographic over the axes (per-transmitter simplex grids, then power
-group splits, then power levels for transmitters that need power
-control), with the last axis varying fastest.  Each transmitter enters
-the sweep only through the columns of its boundary table
-(``region.boundary_table``, stacked eigendecompositions that match
-``boundary_strategy`` bit for bit): the unit-power gains at its simplex
-weights, times the ``class_power`` of each row's class (with the power
-axis as the FREE levels, where there is one), times its group split, form
-one gain table per transmitter over its own axes alone (its weights, its
-group's split and its power levels); no per-weight strategy object is
-built.  The utilities are evaluated only when read, by one reader,
+lexicographic over the axes (each transmitter's strategy list, then power
+group splits), with the last axis varying fastest.  A transmitter's
+strategy list is its ``region.sweep_boundary`` rows, the one FREE fan-out
+rule of both sweeps; their gains times its group split form one gain table
+per transmitter over its own axes alone, and no per-weight strategy
+object is built.  The utilities are evaluated only when read, by one reader,
 ``UtilitySweep.chunks``: it takes any flat row indices (every row, or a
 filter's kept rows), in runs of about ``_CHUNK_ROWS``, and reads each
 transmitter's gains at one table offset per row, so a writer holds one run
@@ -46,13 +41,12 @@ from .region import (
     DEFAULT_POINT_BUDGET,
     _check_budget,
     boundary_strategy,
-    boundary_table,
     check_simplex_weight,
-    class_power,
     needs_power_control,
     simplex_grid,
     simplex_grid_size,
     strategy_gains,
+    sweep_boundary,
 )
 
 __all__ = [
@@ -64,7 +58,6 @@ __all__ = [
     "strategy_gain_matrix",
     "utilities_at",
     "SweepAxis",
-    "sweep_axes",
     "UtilitySweep",
     "sweep_utility_region",
     "pareto_filter",
@@ -136,7 +129,7 @@ def utilities(spec: UtilitySpec, tids, gain_matrix) -> np.ndarray:
         interference = sum(float(g[row[t], j]) for t in rule.interference)
         if signal < 0 or interference < 0:
             raise ValueError("gains must be nonnegative")
-        out[j] = math.log2(1.0 + signal / (spec.noise_power + interference))
+        out[j] = np.log2(1.0 + signal / (spec.noise_power + interference))
     return out
 
 
@@ -146,8 +139,8 @@ class ParameterPoint:
 
     ``lambdas`` maps transmitter id to its simplex weights; ``splits`` maps
     a power group (tuple of ids) to the members' budget fractions;
-    ``free_powers`` carries the power level used when a transmitter's
-    weights land in the free class.
+    ``free_powers`` maps a transmitter id to its power if its weights land
+    in the free class.
     """
 
     lambdas: dict
@@ -230,8 +223,8 @@ def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.nd
 class SweepAxis:
     """One axis of the joint parameter grid."""
 
-    kind: str  # "lambda" | "split" | "power"
-    label: object  # transmitter id (lambda/power) or group tuple (split)
+    kind: str  # "lambda" (a transmitter's strategy list) | "split"
+    label: object  # transmitter id (lambda) or group tuple (split)
     columns: tuple[str, ...]
     values: np.ndarray  # (n, width)
 
@@ -239,63 +232,50 @@ class SweepAxis:
         return self.values.shape[0]
 
 
-def _axis_plan(s: Scenario) -> list[tuple[str, object, tuple[str, ...], int]]:
-    """Kind, label, columns and part count of each axis of the joint grid.
+def _sweep_axes(s: Scenario, step: float) -> tuple[list[SweepAxis], dict]:
+    """The axes of the joint grid and each transmitter's realized gains (R, K).
 
-    Lambda and split axes are simplex grids over their part count; a power
-    axis has the m + 1 levels of a two-part grid.  Power axes exist only for
-    transmitters with no more antennas than unintended receivers, the
-    regime where boundary points below full power exist.
+    A transmitter's axis is its strategy list, the R rows of
+    ``region.sweep_boundary`` with m + 1 FREE levels (m = 1/step): columns
+    ``lam_<t>_<r>``, plus ``p_<t>``, the row's boundary power, where power
+    control applies.  Each multi-member group adds a split axis.
     """
-    plan = []
+    axes, gains = [], {}
     for t in s.transmitters:
-        cols = tuple(f"lam_{t.tid}_{r}" for r in s.receivers)
-        plan.append(("lambda", t.tid, cols, s.n_receivers))
+        e = direction_vector(s, t.tid)
+        lam, power, _, gains[t.tid] = sweep_boundary(
+            s.channels_for(t.tid), e, step, simplex_grid_size(2, step)
+        )
+        columns = tuple(f"lam_{t.tid}_{r}" for r in s.receivers)
+        if needs_power_control(t.n_antennas, e):
+            columns, lam = (*columns, f"p_{t.tid}"), np.column_stack([lam, power])
+        axes.append(SweepAxis("lambda", t.tid, columns, lam))
     for g in s.power_groups:
         if len(g) > 1:
-            plan.append(("split", g, tuple(f"split_{tid}" for tid in g), len(g)))
-    for t in s.transmitters:
-        if needs_power_control(t.n_antennas, direction_vector(s, t.tid)):
-            plan.append(("power", t.tid, (f"p_{t.tid}",), 2))
-    return plan
+            cols = tuple(f"split_{tid}" for tid in g)
+            axes.append(SweepAxis("split", g, cols, simplex_grid(len(g), step)))
+    return axes, gains
 
 
-def sweep_axes(s: Scenario, step: float) -> list[SweepAxis]:
-    """Axes of the joint grid: lambdas, then group splits, then powers."""
-    plan = _axis_plan(s)
-    p_grid = np.linspace(0.0, 1.0, simplex_grid_size(2, step)).reshape(-1, 1)
-    return [
-        SweepAxis(kind, label, cols, p_grid if kind == "power" else simplex_grid(parts, step))
-        for kind, label, cols, parts in plan
-    ]
-
-
-def _gain_fields(s: Scenario, axes: list[SweepAxis]) -> dict:
+def _gain_fields(s: Scenario, axes: list[SweepAxis], gains: dict) -> dict:
     """Each transmitter's gain table over its own axes: ``fields[tid]`` is
     ``(table, strides)``.
 
-    ``table`` is C-contiguous, (K, G * S * P) over its G simplex weights, S
-    split fractions and P FREE power levels, levels fastest; with no split
-    or power axis it has one fraction or level of 1.0, ``class_power``'s
-    default.  Each entry is unit gain x power x split, in that order.
-    ``strides`` maps the position in ``axes`` of each own axis to its step
-    along a table row.
+    ``table`` is C-contiguous, (K, R * S) over its R strategy rows and its
+    group's S split fractions (one of 1.0 when it is alone), fractions
+    fastest.  Each entry is its ``sweep_boundary`` gain (unit x power) x
+    split.  ``strides`` maps the position in ``axes`` of each own axis to
+    its step along a table row.
     """
-    values = {(ax.kind, ax.label): ax.values for ax in axes}
-    position = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
+    position = {ax.label: i for i, ax in enumerate(axes)}
     fields = {}
     for t in s.transmitters:
         group = s.group_of(t.tid)
-        own = (("lambda", t.tid), ("split", group), ("power", t.tid))
-        _, classes, gains = boundary_table(
-            s.channels_for(t.tid), values[own[0]], direction_vector(s, t.tid)
-        )
-        split = values.get(own[1], np.ones((1, len(group))))[:, group.index(t.tid)]
-        levels = values.get(own[2], np.ones((1, 1)))[:, 0]
-        power = class_power(classes[:, None], levels)
-        table = gains.T[:, :, None, None] * power[:, None] * split[:, None]
-        steps = (len(split) * len(levels), len(levels), 1)
-        strides = {position[key]: n for key, n in zip(own, steps) if key in position}
+        split, strides = np.ones(1), {position[t.tid]: 1}
+        if group in position:
+            split = axes[position[group]].values[:, group.index(t.tid)]
+            strides = {position[t.tid]: len(split), position[group]: 1}
+        table = gains[t.tid].T[:, :, None] * split
         fields[t.tid] = (np.ascontiguousarray(table.reshape(len(table), -1)), strides)
     return fields
 
@@ -388,14 +368,17 @@ class UtilitySweep:
         return np.concatenate([ax.values[j] for ax, j in zip(self.axes, idx)])
 
     def parameter_point(self, i: int) -> ParameterPoint:
+        """Flat grid index ``i`` as a ParameterPoint; a strategy row's ``p_<t>``
+        is its transmitter's FREE power."""
+        k = self.scenario.n_receivers
         lambdas, splits, free_powers = {}, {}, {}
         for ax, j in zip(self.axes, np.unravel_index(i, self.shape)):
-            if ax.kind == "lambda":
-                lambdas[ax.label] = ax.values[j]
-            elif ax.kind == "split":
+            if ax.kind == "split":
                 splits[ax.label] = ax.values[j]
-            else:
-                free_powers[ax.label] = float(ax.values[j, 0])
+                continue
+            lambdas[ax.label] = ax.values[j, :k]
+            if ax.values.shape[1] > k:
+                free_powers[ax.label] = float(ax.values[j, k])
         return ParameterPoint(lambdas=lambdas, splits=splits, free_powers=free_powers)
 
     def flat_index(self, indices) -> int:
@@ -411,21 +394,23 @@ def sweep_utility_region(
     """Build the joint parameter grid and its gain tables; the utilities follow lazily.
 
     The enumeration is the Cartesian product of every transmitter's
-    simplex grid, every multi-member group's split grid and, where power
-    control applies, a power grid with the same spacing; rows come out in
-    lexicographic order.  ``_check_spec`` refuses a spec unfit for ``s``.
-    Grids larger than ``point_budget`` are refused after counting, before
-    any axis is built.  Every refusal and every boundary table happens
-    here; the returned ``UtilitySweep`` evaluates the utilities, run by
-    run, only when they are read.
+    strategy list and every multi-member group's split grid; rows come out
+    in lexicographic order.  ``_check_spec`` refuses a spec unfit for
+    ``s``.  The product of the simplex and split grid sizes, a lower bound
+    on the rows, is refused above ``point_budget`` before any boundary
+    table is built, and the exact row count before any gain table.  Every
+    refusal and every boundary table happens here; the returned
+    ``UtilitySweep`` evaluates the utilities, run by run, only when they
+    are read.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
     _check_spec(s, spec)
-    n_points = math.prod(simplex_grid_size(parts, step) for *_, parts in _axis_plan(s))
-    _check_budget(n_points, "points", point_budget)
-    axes = sweep_axes(s, step)
-    return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=_gain_fields(s, axes))
+    parts = [s.n_receivers] * len(s.transmitters) + [len(g) for g in s.power_groups if len(g) > 1]
+    _check_budget(math.prod(simplex_grid_size(k, step) for k in parts), "points", point_budget)
+    axes, gains = _sweep_axes(s, step)
+    _check_budget(math.prod(len(ax) for ax in axes), "points", point_budget)
+    return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=_gain_fields(s, axes, gains))
 
 
 def pareto_filter(points) -> list[int]:

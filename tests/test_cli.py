@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from gainregion import cli
 from gainregion.cli import main
-from gainregion.network import direction_vector, load_scenario
+from gainregion.network import (
+    Scenario,
+    TransmitterSpec,
+    direction_vector,
+    load_scenario,
+    save_scenario,
+)
 from gainregion.pareto import (
     UtilitySpec,
     pareto_filter,
@@ -488,15 +494,15 @@ def test_axis_table_is_the_per_row_packing(width):
     assert table.tobytes() == expected.tobytes()
 
 
-# gen flags, step and the axis kind each scenario is there for: lambda axes
-# only (3,375 rows), split axes (mixed N=3, 648 rows) and one power axis per
-# transmitter (ic 3x2, 5,832 rows).
+# gen flags, step and the parameter column each scenario is there for:
+# lambda columns only (3,375 rows), split columns (mixed N=3, 648 rows) and
+# a power column per strategy list (ic 3x2, 12,167 rows, 1,196 kept).
 _BLOCK_EDGE_SCENARIOS = [
-    (("--template", "ic", "--users", "3", "--antennas", "3", "--seed", "2"), "0.25", "lambda"),
-    (("--template", "mixed", "--antennas", "3", "--seed", "2"), "0.5", "split"),
-    (("--template", "ic", "--users", "3", "--antennas", "2", "--seed", "2"), "0.5", "power"),
+    (("--template", "ic", "--users", "3", "--antennas", "3", "--seed", "2"), "0.25", "lam_"),
+    (("--template", "mixed", "--antennas", "3", "--seed", "2"), "0.5", "split_"),
+    (("--template", "ic", "--users", "3", "--antennas", "2", "--seed", "2"), "0.25", "p_"),
     # One axis of 5,151 rows: two chunks of utilities, split at row 4,096.
-    (("--skeleton", str(BROADCAST3), "--seed", "2"), "0.01", "lambda"),
+    (("--skeleton", str(BROADCAST3), "--seed", "2"), "0.01", "lam_"),
 ]
 
 
@@ -504,22 +510,22 @@ _BLOCK_EDGE_SCENARIOS = [
 def test_sweep_rates_rows_across_block_edges(tmp_path, filtered):
     flags = ["--filter"] if filtered else []
     edge = cli._WRITE_BLOCK
-    for n, (gen_flags, step, kind) in enumerate(_BLOCK_EDGE_SCENARIOS):
+    for n, (gen_flags, step, column) in enumerate(_BLOCK_EDGE_SCENARIOS):
         scen, out = tmp_path / f"scenario{n}.json", tmp_path / f"rates{n}.csv"
         run("gen", *gen_flags, "--out", str(scen))
         assert run("sweep-rates", "--scenario", str(scen), "--step", step, *flags,
                    "--out", str(out)) == 0
         s = load_scenario(scen)
         sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), float(step))
-        assert kind in [ax.kind for ax in sweep.axes], kind
+        assert any(c.startswith(column) for c in sweep.parameter_columns), column
         keep = pareto_filter(sweep.utilities) if filtered else range(len(sweep))
-        assert len(keep) > edge, kind
-        if filtered and kind == "lambda" and len(sweep.axes) > 1:
+        assert len(keep) > edge, column
+        if filtered and column == "lam_" and len(sweep.axes) > 1:
             # The kept rows on either side of the first block edge are not
             # neighbours (a one-axis broadcast front keeps every row).
             assert keep[edge] - keep[edge - 1] > 1
         expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]]) for i in keep]
-        assert data_lines(out) == expected, kind
+        assert data_lines(out) == expected, column
 
 
 def test_unfiltered_sweep_rates_never_holds_the_utility_cloud(tmp_path, capsys):
@@ -557,17 +563,21 @@ def test_sweep_rates_formats_a_long_axis_in_blocks(tmp_path, capsys):
 
 def test_sweep_rates_parameter_fields_keep_17_digits(tmp_path):
     # At step 0.1 most grid values (0.1, 0.7, ...) need all 17 digits, which
-    # the dyadic steps of the block-edge test never do.
-    scen = tmp_path / "ic.json"
-    run("gen", "--template", "ic", "--users", "2", "--antennas", "1",
-        "--seed", "5", "--out", str(scen))
+    # the dyadic steps of the block-edge test never do.  One transmitter with
+    # two antennas and two unintended receivers: its two FREE weights fan out
+    # over 11 levels, so its p column holds them too (86 rows, where ic 3x2
+    # would have 636,056).
+    skeleton, scen = tmp_path / "skeleton.json", tmp_path / "one.json"
+    save_scenario(Scenario((TransmitterSpec("1", 2, {1}),), 3, 1.0, (("1",),)), skeleton)
+    run("gen", "--skeleton", str(skeleton), "--seed", "5", "--out", str(scen))
     out = tmp_path / "rates.csv"
     assert run("sweep-rates", "--scenario", str(scen), "--step", "0.1", "--out", str(out)) == 0
     s = load_scenario(scen)
     sweep = sweep_utility_region(s, UtilitySpec.from_scenario(s), 0.1)
-    for kind in ("lambda", "power"):
-        values = [v for ax in sweep.axes if ax.kind == kind for v in ax.values.ravel().tolist()]
-        assert any(f"{v:.16g}" != f"{v:.17g}" for v in values), kind
+    (axis,) = sweep.axes
+    assert axis.columns[-1] == "p_1"
+    for name, values in (("lambda", axis.values[:, :-1]), ("power", axis.values[:, -1])):
+        assert any(f"{v:.16g}" != f"{v:.17g}" for v in values.ravel().tolist()), name
     expected = [per_value_line([*sweep.parameter_row(i), *sweep.utilities[i]])
                 for i in range(len(sweep))]
     assert data_lines(out) == expected

@@ -16,18 +16,25 @@ from gainregion.network import (
 from gainregion.pareto import (
     ParameterPoint,
     ReceiverRule,
+    SweepAxis,
     UtilitySpec,
     pareto_filter,
     pareto_filter_bruteforce,
     pareto_strategies,
     strategy_gain_matrix,
-    sweep_axes,
     sweep_utility_region,
     utilities,
     utilities_at,
 )
 from gainregion.linalg import outer_product
-from gainregion.region import PowerClass, boundary_strategy, boundary_table, class_power
+from gainregion.region import (
+    PowerClass,
+    boundary_strategy,
+    boundary_table,
+    class_power,
+    needs_power_control,
+    simplex_grid,
+)
 from gainregion.verify import (
     alignment_search,
     full_power_completion,
@@ -38,7 +45,7 @@ from gainregion.verify import (
     zf_beamformer,
 )
 
-from conftest import BROADCAST3, random_channels
+from conftest import BROADCAST3, oracle_sweep, random_channels, scenarios
 
 
 def ic_scenario(seed=3, users=3, antennas=3, snr_db=0.0):
@@ -75,6 +82,15 @@ def test_rate_matches_direct_formula(rng):
         expected = np.log2(1 + (g["a"] + g["b"]) / (0.7 + g["c"]))
         got = utilities(spec, g.keys(), [[x] for x in g.values()])[0]
         assert got == pytest.approx(expected, rel=1e-15)
+
+
+def test_rates_round_as_the_sweep_rounds():
+    # The scalar rate takes numpy's log2, as UtilitySweep.chunks does:
+    # math.log2 differs from it in the last bit on some arguments.
+    spec = UtilitySpec(rules=(ReceiverRule(("a",), ()),), noise_power=1.0)
+    gains = np.random.default_rng(5).uniform(0.0, 20.0, 20_000)
+    got = [utilities(spec, ["a"], [[g]])[0] for g in gains.tolist()]
+    assert np.array(got).tobytes() == np.log2(1.0 + gains / 1.0).tobytes()
 
 
 def test_rate_rejects_bad_noise():
@@ -232,7 +248,8 @@ def test_sweep_two_user_counts():
 
 
 def test_sweep_axes_mixed_example():
-    axes = sweep_axes(mixed_skeleton(), 0.1)
+    # A strategy list is read from the boundary table, so the axes need channels.
+    axes = sweep_utility_region(generate_channels(84, mixed_skeleton()), step=0.1).axes
     kinds = [(ax.kind, ax.label, len(ax)) for ax in axes]
     assert kinds == [
         ("lambda", "11", 66),
@@ -244,11 +261,28 @@ def test_sweep_axes_mixed_example():
     assert total == 66**3 * 11
 
 
-def test_sweep_axes_add_power_axis_when_needed():
-    s = ic_skeleton(3, 2)  # two antennas, two unintended receivers each
-    axes = sweep_axes(s, 0.5)
-    kinds = [ax.kind for ax in axes]
-    assert kinds == ["lambda"] * 3 + ["power"] * 3
+def test_sweep_axes_add_a_power_column_when_needed():
+    s = generate_channels(84, ic_skeleton(3, 2))  # two antennas, two unintended receivers each
+    axes = sweep_utility_region(s, step=0.5).axes
+    assert [ax.kind for ax in axes] == ["lambda"] * 3
+    assert [ax.columns[-2:] for ax in axes] == [(f"lam_{t}_3", f"p_{t}") for t in "123"]
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25])
+@pytest.mark.parametrize("make", [lambda: ic_scenario(seed=84, antennas=2),
+                                  lambda: generate_channels(84, mixed_skeleton(2))],
+                         ids=["ic3x2", "mixed-n2"])
+def test_a_strategy_axis_is_the_oracle_sweep_of_its_transmitter(make, step):
+    # The joint sweep fans out FREE rows by the rule of sweep-gain, with m + 1 levels.
+    s = make()
+    axes = {ax.label: ax for ax in sweep_utility_region(s, step=step).axes}
+    controlled = [t for t in s.transmitters if axes[t.tid].columns[-1] == f"p_{t.tid}"]
+    assert controlled
+    for t in controlled:
+        rows = oracle_sweep(s.channels_for(t.tid), direction_vector(s, t.tid), step,
+                            p_free_samples=round(1 / step) + 1)
+        want = np.array([[*ref.lam, ref.power] for ref in rows])
+        assert axes[t.tid].values.tobytes() == want.tobytes()
 
 
 def test_sweep_budget_enforced():
@@ -259,15 +293,15 @@ def test_sweep_budget_enforced():
 
 
 def test_sweep_budget_counts_huge_grids_exactly():
-    # Five transmitters with 10,626 weights and 21 power levels each: the
-    # point count is about 5.5e26, which wraps around in int64.
+    # Five transmitters with at least 10,626 strategies each: the point
+    # count is at least 1.3e20, which wraps around in int64.
     s = ic_scenario(seed=1, users=5, antennas=2)
     with pytest.raises(ValueError, match="above the budget"):
         sweep_utility_region(s, step=0.05)
 
 
 def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
-    # Five lambda axes of C(54, 4) = 316,251 weights and five power axes.
+    # Five strategy lists of at least C(54, 4) = 316,251 weights each.
     built = []
 
     def spy(k, step):
@@ -281,11 +315,18 @@ def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
     assert built == []
 
 
+def test_sweep_budget_counts_strategy_rows():
+    # 45 weights each, 2 of them FREE and fanned out over 9 levels: 61 strategies.
+    sweep = sweep_utility_region(ic_scenario(seed=84, antennas=2), step=0.125)
+    assert len(sweep) == 226_981
+
+
 def broadcast_fields(s, axes):
     """Unit gain x power x split of every transmitter at every receiver, built
     apart from ``pareto._gain_fields``: ``fields[tid][j]`` has one dimension per
     axis, of length 1 off the transmitter's own axes, so it broadcasts over
-    the whole grid."""
+    the whole grid.  The power is ``class_power`` at a strategy row's
+    ``p_<t>`` column, or over the FREE levels of a former ``"power"`` axis."""
     at = {(ax.kind, ax.label): i for i, ax in enumerate(axes)}
 
     def along(values, *positions):
@@ -295,14 +336,17 @@ def broadcast_fields(s, axes):
         return values.reshape(shape)
 
     fields = {}
+    k = s.n_receivers
     for t in s.transmitters:
         lam_axis = at[("lambda", t.tid)]
+        values = axes[lam_axis].values
         _, classes, gains = boundary_table(
-            s.channels_for(t.tid), axes[lam_axis].values, direction_vector(s, t.tid)
+            s.channels_for(t.tid), values[:, :k], direction_vector(s, t.tid)
         )
+        p_column = values[:, k] if values.shape[1] > k else 1.0
         power_axis = at.get(("power", t.tid))
         if power_axis is None:
-            power = along(class_power(classes), lam_axis)
+            power = along(class_power(classes, p_column), lam_axis)
         else:
             levels = axes[power_axis].values[:, 0]
             power = along(class_power(classes[:, None], levels), lam_axis, power_axis)
@@ -317,11 +361,57 @@ def broadcast_fields(s, axes):
     return fields
 
 
+def power_axis_clouds(s, step):
+    """The former joint cloud, one leading index at a time: a lambda axis per
+    transmitter, a split axis per multi-member group, then a power axis of
+    m + 1 levels per transmitter that needs power control, whose level
+    ``class_power`` ignores on FULL and ZERO rows."""
+    axes = [SweepAxis("lambda", t.tid, (), simplex_grid(s.n_receivers, step))
+            for t in s.transmitters]
+    axes += [SweepAxis("split", g, (), simplex_grid(len(g), step))
+             for g in s.power_groups if len(g) > 1]
+    levels = np.linspace(0.0, 1.0, round(1 / step) + 1)[:, None]
+    axes += [SweepAxis("power", t.tid, (), levels) for t in s.transmitters
+             if needs_power_control(t.n_antennas, direction_vector(s, t.tid))]
+    fields, spec = broadcast_fields(s, axes), UtilitySpec.from_scenario(s)
+    shape = tuple(len(ax) for ax in axes)
+    for i0 in range(shape[0]):
+        u = np.empty((*shape[1:], s.n_receivers))
+        for j, rule in enumerate(spec.rules):
+            signal, interference = (
+                sum((np.broadcast_to(fields[t][j], shape)[i0] for t in tids), np.zeros(shape[1:]))
+                for tids in (rule.signal, rule.interference)
+            )
+            u[..., j] = np.log2(1.0 + signal / (spec.noise_power + interference))
+        yield u.reshape(-1, s.n_receivers)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.2])
+@pytest.mark.parametrize("make", [lambda: ic_scenario(seed=84, antennas=2),
+                                  lambda: generate_channels(84, mixed_skeleton(2))],
+                         ids=["ic3x2", "mixed-n2"])
+def test_strategy_lists_reach_the_distinct_points_of_the_power_axis_cloud(make, step):
+    def distinct(u):
+        # Rows in ascending lexicographic order, each once.
+        ranked = u[np.lexsort(u.T[::-1])]
+        new = np.ones(len(ranked), dtype=bool)
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        return ranked[new]
+
+    s = make()
+    old = distinct(np.concatenate([distinct(u) for u in power_axis_clouds(s, step)]))
+    cloud = sweep_utility_region(s, step=step).utilities
+    new = distinct(cloud)
+    assert len(new) < len(cloud)
+    assert new.tobytes() == old.tobytes()
+    assert new[pareto_filter(new)].tobytes() == old[pareto_filter(old)].tobytes()
+
+
 @pytest.mark.parametrize(
     "make, step, kinds",
     [
         (lambda: ic_scenario(seed=84), 0.125, {"lambda"}),
-        (lambda: generate_channels(84, mixed_skeleton(2)), 0.25, {"lambda", "split", "power"}),
+        (lambda: generate_channels(84, mixed_skeleton(2)), 0.25, {"lambda", "split"}),
         (lambda: generate_channels(84, load_scenario(BROADCAST3)), 0.01, {"lambda"}),
     ],
     ids=["ic3x3", "mixed-n2", "one-axis"],
@@ -374,11 +464,11 @@ def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds)
 def test_chunks_of_unsorted_repeated_rows_are_those_rows_of_the_cloud():
     s = generate_channels(84, mixed_skeleton(2))
     sweep = sweep_utility_region(s, step=0.25)
-    # Transmitters 11 and 12 own a lambda axis, the split axis they share and
-    # a power axis each, with other transmitters' axes in between.
+    # Transmitters 11 and 12 own a strategy list each and the split axis they
+    # share, with other transmitters' axes in between.
     for tid in ("11", "12"):
         own = [i for i, ax in enumerate(sweep.axes) if ax.label in (tid, ("11", "12"))]
-        assert [sweep.axes[i].kind for i in own] == ["lambda", "split", "power"]
+        assert [sweep.axes[i].kind for i in own] == ["lambda", "split"]
         assert np.any(np.diff(own) > 1)
     # Unsorted rows, one chunk and 100 more; the last 60 repeat the 60 around
     # the chunk edge.
@@ -431,16 +521,33 @@ def test_sweep_matches_scalar_path():
 
 
 def test_sweep_matches_scalar_path_with_groups_and_power():
-    s = generate_channels(21, mixed_skeleton(2, noise_power=0.5))  # N=2 forces power axes
+    s = generate_channels(21, mixed_skeleton(2, noise_power=0.5))  # N=2 forces power control
     spec = UtilitySpec.from_scenario(s)
     sweep = sweep_utility_region(s, spec, step=0.5)
-    kinds = [ax.kind for ax in sweep.axes]
-    assert "power" in kinds and "split" in kinds
+    assert "split" in [ax.kind for ax in sweep.axes]
+    assert {"p_11", "p_12"} <= set(sweep.parameter_columns)
     for i in range(0, len(sweep), 7):
         point = sweep.parameter_point(i)
         # The vectorized path multiplies factors in a different order, so
         # agreement is to rounding, not bit-exact.
         assert np.allclose(utilities_at(s, spec, point), sweep.utilities[i], rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenarios(), st.data())
+def test_chunks_of_random_rows_are_the_scalar_oracle(case, data):
+    s, step = case
+    spec = UtilitySpec.from_scenario(s)
+    sweep = sweep_utility_region(s, spec, step=step)
+    picks = data.draw(st.lists(st.integers(0, len(sweep) - 1), min_size=1, max_size=12))
+    rows = data.draw(st.permutations(picks + picks[: len(picks) // 2 + 1]))
+    got = np.concatenate([u for _, u in sweep.chunks(rows)])
+    want = np.array([utilities_at(s, spec, sweep.parameter_point(i)) for i in rows])
+    if all(len(g) == 1 for g in s.power_groups):
+        assert got.tobytes() == want.tobytes()
+    else:
+        # A split multiplies the gains in another order on the scalar path.
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_sweep_all_mrt_matches_direct_rates():
