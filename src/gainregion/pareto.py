@@ -232,52 +232,51 @@ class SweepAxis:
         return self.values.shape[0]
 
 
-def _sweep_axes(s: Scenario, step: float) -> tuple[list[SweepAxis], dict]:
-    """The axes of the joint grid and each transmitter's realized gains (R, K).
+def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[SweepAxis], dict]:
+    """The axes of the joint grid and each transmitter's gain table.
 
     A transmitter's axis is its strategy list, the R rows of
     ``region.sweep_boundary`` with m + 1 FREE levels (m = 1/step): columns
     ``lam_<t>_<r>``, plus ``p_<t>``, the row's boundary power, where power
     control applies.  Each multi-member group adds a split axis.
+
+    ``fields[tid]`` is ``(table, strides)``: ``table`` is C-contiguous,
+    (K, R * S) over the R rows and the group's S split fractions (one of
+    1.0 when alone), fractions fastest, each entry its ``sweep_boundary``
+    gain (unit x power) x split; ``strides`` maps the position in the axes
+    of each own axis to its step along a table row.
+
+    The product of the axis sizes, with each strategy list counted as its
+    simplex grid until it is built, is refused above ``point_budget``
+    before any grid and again after each list, before its table.
     """
-    axes, gains = [], {}
-    for t in s.transmitters:
+    groups = [g for g in s.power_groups if len(g) > 1]
+    n = len(s.transmitters)
+    sizes = [simplex_grid_size(k, step) for k in [s.n_receivers] * n + [len(g) for g in groups]]
+    _check_budget(math.prod(sizes), "points", point_budget)
+    splits = {g: SweepAxis("split", g, tuple(f"split_{tid}" for tid in g),
+                           simplex_grid(len(g), step)) for g in groups}
+    position = {g: n + i for i, g in enumerate(groups)}
+    axes, fields = [], {}
+    for i, t in enumerate(s.transmitters):
         e = direction_vector(s, t.tid)
-        lam, power, _, gains[t.tid] = sweep_boundary(
-            s.channels_for(t.tid), e, step, simplex_grid_size(2, step)
+        lam, power, _, gains = sweep_boundary(
+            s.channels_for(t.tid), e, step, simplex_grid_size(2, step), point_budget
         )
+        sizes[i] = len(lam)
+        _check_budget(math.prod(sizes), "points", point_budget)
         columns = tuple(f"lam_{t.tid}_{r}" for r in s.receivers)
         if needs_power_control(t.n_antennas, e):
             columns, lam = (*columns, f"p_{t.tid}"), np.column_stack([lam, power])
         axes.append(SweepAxis("lambda", t.tid, columns, lam))
-    for g in s.power_groups:
-        if len(g) > 1:
-            cols = tuple(f"split_{tid}" for tid in g)
-            axes.append(SweepAxis("split", g, cols, simplex_grid(len(g), step)))
-    return axes, gains
-
-
-def _gain_fields(s: Scenario, axes: list[SweepAxis], gains: dict) -> dict:
-    """Each transmitter's gain table over its own axes: ``fields[tid]`` is
-    ``(table, strides)``.
-
-    ``table`` is C-contiguous, (K, R * S) over its R strategy rows and its
-    group's S split fractions (one of 1.0 when it is alone), fractions
-    fastest.  Each entry is its ``sweep_boundary`` gain (unit x power) x
-    split.  ``strides`` maps the position in ``axes`` of each own axis to
-    its step along a table row.
-    """
-    position = {ax.label: i for i, ax in enumerate(axes)}
-    fields = {}
-    for t in s.transmitters:
         group = s.group_of(t.tid)
-        split, strides = np.ones(1), {position[t.tid]: 1}
-        if group in position:
-            split = axes[position[group]].values[:, group.index(t.tid)]
-            strides = {position[t.tid]: len(split), position[group]: 1}
-        table = gains[t.tid].T[:, :, None] * split
+        split, strides = np.ones(1), {i: 1}
+        if group in splits:
+            split = splits[group].values[:, group.index(t.tid)]
+            strides = {i: len(split), position[group]: 1}
+        table = gains.T[:, :, None] * split
         fields[t.tid] = (np.ascontiguousarray(table.reshape(len(table), -1)), strides)
-    return fields
+    return axes + list(splits.values()), fields
 
 
 # About this many rows make one chunk of the joint utility evaluation.  It
@@ -377,7 +376,7 @@ class UtilitySweep:
                 splits[ax.label] = ax.values[j]
                 continue
             lambdas[ax.label] = ax.values[j, :k]
-            if ax.values.shape[1] > k:
+            if ax.columns[-1] == f"p_{ax.label}":
                 free_powers[ax.label] = float(ax.values[j, k])
         return ParameterPoint(lambdas=lambdas, splits=splits, free_powers=free_powers)
 
@@ -396,9 +395,7 @@ def sweep_utility_region(
     The enumeration is the Cartesian product of every transmitter's
     strategy list and every multi-member group's split grid; rows come out
     in lexicographic order.  ``_check_spec`` refuses a spec unfit for
-    ``s``.  The product of the simplex and split grid sizes, a lower bound
-    on the rows, is refused above ``point_budget`` before any boundary
-    table is built, and the exact row count before any gain table.  Every
+    ``s``, and ``_sweep_axes`` a grid above ``point_budget``.  Every
     refusal and every boundary table happens here; the returned
     ``UtilitySweep`` evaluates the utilities, run by run, only when they
     are read.
@@ -406,11 +403,8 @@ def sweep_utility_region(
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
     _check_spec(s, spec)
-    parts = [s.n_receivers] * len(s.transmitters) + [len(g) for g in s.power_groups if len(g) > 1]
-    _check_budget(math.prod(simplex_grid_size(k, step) for k in parts), "points", point_budget)
-    axes, gains = _sweep_axes(s, step)
-    _check_budget(math.prod(len(ax) for ax in axes), "points", point_budget)
-    return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=_gain_fields(s, axes, gains))
+    axes, fields = _sweep_axes(s, step, point_budget)
+    return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=fields)
 
 
 def pareto_filter(points) -> list[int]:

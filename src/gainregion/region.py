@@ -14,8 +14,8 @@ and gains with one row per sample.  Every row is bitwise what
 ``boundary_strategy`` (with ``p_free`` for a fanned-out free row) and
 ``strategy_gains`` give at its weights alone.  ``class_power``, the one
 full/free/zero -> power rule for both, is the only home of FREE power.
-``sweep_boundary`` refuses grids and fan-outs of more rows than
-``DEFAULT_POINT_BUDGET`` before building them.
+``sweep_boundary`` refuses grids and fan-outs of more rows than its
+budget before building them.
 
 A transmitter's channels are one (K, N) matrix (``linalg.as_channels``);
 the network layer maps receivers 1..K onto rows 0..K-1.  ``unit_gains`` is
@@ -326,7 +326,7 @@ def needs_power_control(n_antennas: int, e) -> bool:
 
 
 def sweep_boundary(
-    channels, e, step: float, p_free_samples: int = 11
+    channels, e, step: float, p_free_samples: int = 11, point_budget: int = DEFAULT_POINT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Boundary samples over the full simplex grid, as columns.
 
@@ -338,8 +338,8 @@ def sweep_boundary(
     (otherwise only full power lies on the boundary and one row is
     emitted).  Row r is bitwise boundary_strategy at ``lam[r]`` (with
     ``p_free=power[r]`` on a fanned-out free row) and its strategy_gains.
-    More grid rows, or more rows after the fan-out, than
-    ``DEFAULT_POINT_BUDGET`` are refused before they are built.
+    More grid rows, or more rows after the fan-out, than ``point_budget``
+    are refused before they are built.
     """
     h = as_channels(channels)
     e = check_direction(e)
@@ -347,7 +347,7 @@ def sweep_boundary(
         raise ValueError(f"{len(h)} channels but direction has {e.size} entries")
     if p_free_samples < 2:
         raise ValueError("p_free_samples must be >= 2")
-    _check_budget(simplex_grid_size(len(h), step), "grid rows", DEFAULT_POINT_BUDGET)
+    _check_budget(simplex_grid_size(len(h), step), "grid rows", point_budget)
     grid = simplex_grid(len(h), step)
     # Only the classes and gains are kept: the directions go before the fan-out.
     classes, unit = boundary_table(h, grid, e)[1:]
@@ -357,7 +357,7 @@ def sweep_boundary(
     n_free = int(np.count_nonzero(free)) if needs_power_control(h.shape[1], e) else 0
     if n_free:
         n_rows = len(grid) + n_free * (p_free_samples - 1)
-        _check_budget(n_rows, "rows after the free fan-out", DEFAULT_POINT_BUDGET)
+        _check_budget(n_rows, "rows after the free fan-out", point_budget)
         rows = np.repeat(rows, np.where(free, p_free_samples, 1))
         levels = np.ones(len(rows))
         levels[free[rows]] = np.tile(np.linspace(0.0, 1.0, p_free_samples), n_free)

@@ -83,9 +83,9 @@ def scenarios(draw, max_rows=3000):
         channels = {key: math.sqrt(loss) * h for key, h in s.channels.items()}
         s = replace(s, channels=channels, noise_power=noise * loss)
 
-    def former_rows(step):
-        # The former grid, with a power axis of m + 1 levels per power-control
-        # transmitter, has at least as many rows as the strategy lists.
+    def row_bound(step):
+        # The strategy-row product is at most every group's split grid times
+        # each transmitter's simplex grid, times m + 1 where it needs power control.
         levels = simplex_grid_size(2, step)
         rows = math.prod(simplex_grid_size(len(g), step) for g in s.power_groups)
         for t in s.transmitters:
@@ -93,4 +93,4 @@ def scenarios(draw, max_rows=3000):
             rows *= simplex_grid_size(k, step) * (levels if control else 1)
         return rows
 
-    return s, draw(st.sampled_from([h for h in _STEPS if former_rows(h) <= max_rows]))
+    return s, draw(st.sampled_from([h for h in _STEPS if row_bound(h) <= max_rows]))

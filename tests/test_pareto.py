@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gainregion import pareto
+from gainregion import pareto, region
 from gainregion.network import (
+    Scenario,
+    TransmitterSpec,
     direction_vector,
     generate_channels,
     ic_skeleton,
@@ -309,6 +311,7 @@ def test_sweep_budget_refuses_before_building_any_grid(monkeypatch):
         raise AssertionError("a simplex grid was built")
 
     monkeypatch.setattr(pareto, "simplex_grid", spy)
+    monkeypatch.setattr(region, "simplex_grid", spy)  # each strategy list's grid
     s = ic_scenario(seed=1, users=5, antennas=2)
     with pytest.raises(ValueError, match="above the budget"):
         sweep_utility_region(s, step=0.02)
@@ -321,9 +324,22 @@ def test_sweep_budget_counts_strategy_rows():
     assert len(sweep) == 226_981
 
 
+def test_sweep_budget_reaches_each_strategy_list(monkeypatch):
+    # One transmitter, two antennas, two unintended receivers: 66 weights, two
+    # of them FREE and fanned out over 11 levels, 86 strategies.  A budget of
+    # 85 passes the grid's 66 rows and is refused by the fan-out; one of 86
+    # builds the list, though above the default budget.
+    monkeypatch.setattr(region, "DEFAULT_POINT_BUDGET", 10)
+    one = Scenario((TransmitterSpec("1", 2, {1}),), 3, 1.0, (("1",),))
+    s = generate_channels(5, one)
+    with pytest.raises(ValueError, match="86 rows after the free fan-out, above the budget of 85"):
+        sweep_utility_region(s, step=0.1, point_budget=85)
+    assert len(sweep_utility_region(s, step=0.1, point_budget=86)) == 86
+
+
 def broadcast_fields(s, axes):
     """Unit gain x power x split of every transmitter at every receiver, built
-    apart from ``pareto._gain_fields``: ``fields[tid][j]`` has one dimension per
+    apart from ``pareto._sweep_axes``: ``fields[tid][j]`` has one dimension per
     axis, of length 1 off the transmitter's own axes, so it broadcasts over
     the whole grid.  The power is ``class_power`` at a strategy row's
     ``p_<t>`` column, or over the FREE levels of a former ``"power"`` axis."""

@@ -567,25 +567,23 @@ def test_class_power_is_the_one_power_rule():
 
 
 def test_sweep_boundary_refuses_a_grid_above_the_budget(rng, monkeypatch):
-    monkeypatch.setattr(region, "DEFAULT_POINT_BUDGET", 100)
-
     def spy(*args):
         raise AssertionError("simplex_grid ran on a grid above the budget")
 
     monkeypatch.setattr(region, "simplex_grid", spy)
     channels = random_channels(rng, 2, 3)
     with pytest.raises(ValueError, match="5151 grid rows, above the budget of 100"):
-        sweep_boundary(channels, [1, -1, -1], 0.01)
+        sweep_boundary(channels, [1, -1, -1], 0.01, point_budget=100)
 
 
-def test_sweep_boundary_refuses_a_fan_out_above_the_budget(rng, monkeypatch):
+def test_sweep_boundary_refuses_a_fan_out_above_the_budget(rng):
     # Two free vertices at step 0.5 (6 grid rows), each fanned out over 100
     # levels: 6 + 2 * 99 rows, more than a budget of 100.
-    monkeypatch.setattr(region, "DEFAULT_POINT_BUDGET", 100)
     channels = random_channels(rng, 2, 3)
     with pytest.raises(ValueError, match="204 rows after the free fan-out"):
-        sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=100)
-    assert len(sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=48)[0]) == 100
+        sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=100, point_budget=100)
+    lam = sweep_boundary(channels, [1, -1, -1], 0.5, p_free_samples=48, point_budget=100)[0]
+    assert len(lam) == 100
 
 
 # ------------------------------------------------- segment covariance
