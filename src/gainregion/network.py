@@ -149,6 +149,10 @@ def _check_structure(s: Scenario) -> None:
         path = f"transmitters[{i}]"
         if t.tid in seen:
             raise ScenarioFormatError(f"{path}.id: duplicate id {t.tid!r}")
+        if any(c == "," or c < " " for c in t.tid):
+            # The id names CSV columns and meta lines.
+            raise ScenarioFormatError(f"{path}.id: must hold no comma or control character, "
+                                      f"got {t.tid!r}")
         seen.add(t.tid)
         if t.n_antennas < 1:
             raise ScenarioFormatError(f"{path}.antennas: must be >= 1")
@@ -168,6 +172,9 @@ def _check_structure(s: Scenario) -> None:
                 f"with {key_dims[t.channel_key]} antennas"
             )
         key_dims[t.channel_key] = t.n_antennas
+    for i, g in enumerate(s.power_groups):
+        if not g:
+            raise ScenarioFormatError(f"power_groups[{i}]: must not be empty")
     grouped = [tid for g in s.power_groups for tid in g]
     if sorted(grouped) != sorted(seen):
         raise ScenarioFormatError(

@@ -5,6 +5,12 @@ profiles, evaluates log-SINR utilities, sweeps the joint parameter grid
 into a utility cloud and filters it to the nondominated set; the two-user
 MRT/ZF-combination results live in ``verify``.
 
+As in the paper, a receiver's utility is its rate log2(1 + S / (sigma^2 +
+I)): S sums the gains of the transmitters that intend it and I those of
+all others.  This is the rule along whose boundary sections (+1 at
+intended receivers, ``network.direction_vector``) every strategy list is
+built; ``UtilitySpec`` holds only sigma^2.
+
 A transmitter's strategy in a profile is a ``region.BoundaryStrategy``
 whose power is its boundary power times its power group split.
 
@@ -50,7 +56,6 @@ from .region import (
 )
 
 __all__ = [
-    "ReceiverRule",
     "UtilitySpec",
     "utilities",
     "ParameterPoint",
@@ -66,67 +71,44 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ReceiverRule:
-    """Which transmitters add to a receiver's signal vs its interference."""
-
-    signal: tuple[str, ...]
-    interference: tuple[str, ...]
-
-    def __post_init__(self):
-        named = self.signal + self.interference
-        repeated = sorted({t for t in named if named.count(t) > 1})
-        if repeated:
-            raise ValueError(f"signal and interference sets overlap or repeat: {repeated}")
-
-
-@dataclass(frozen=True)
 class UtilitySpec:
-    """Log-SINR utility family: one signal/interference rule per receiver.
+    """The noise power of the log-SINR utilities; the signal and interference
+    sets come from the scenario (``_receiver_sets``)."""
 
-    Utilities are monotonically increasing in signal-set gains and
-    decreasing in interference-set gains by construction.
-    """
-
-    rules: tuple[ReceiverRule, ...]
     noise_power: float
 
     def __post_init__(self):
-        if not self.rules:
-            raise ValueError("at least one receiver rule is required")
         if not (math.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError(f"noise power must be positive, got {self.noise_power}")
 
-    @property
-    def n_receivers(self) -> int:
-        return len(self.rules)
-
     @classmethod
     def from_scenario(cls, s: Scenario, noise_power: float | None = None) -> "UtilitySpec":
-        """Derive the rules from the scenario's receiver sets."""
-        rules = []
-        for r in s.receivers:
-            signal = tuple(t.tid for t in s.transmitters if r in t.intended)
-            interference = tuple(t.tid for t in s.transmitters if r not in t.intended)
-            rules.append(ReceiverRule(signal=signal, interference=interference))
-        return cls(rules=tuple(rules), noise_power=s.noise_power if noise_power is None else noise_power)
+        """The scenario's noise power, or ``noise_power`` in its place."""
+        return cls(s.noise_power if noise_power is None else noise_power)
 
 
-def utilities(spec: UtilitySpec, tids, gain_matrix) -> np.ndarray:
-    """Utility tuple for a (transmitters x receivers) gain matrix: the rate
-    log2(1 + S / (sigma^2 + I)) at each receiver, S and I summed over its
-    rule's signal and interference transmitters in rule order."""
+def _receiver_sets(s: Scenario) -> list[tuple[list[int], list[int]]]:
+    """Per receiver, the positions in ``s.transmitters`` of the transmitters
+    that intend it (its signal set) and of the rest (its interference set)."""
+    return [
+        ([i for i, t in enumerate(s.transmitters) if r in t.intended],
+         [i for i, t in enumerate(s.transmitters) if r not in t.intended])
+        for r in s.receivers
+    ]
+
+
+def utilities(s: Scenario, spec: UtilitySpec, gain_matrix) -> np.ndarray:
+    """Each receiver's rate for a (transmitters x receivers) gain matrix, rows
+    in scenario order; S and I add their gains in scenario order."""
     g = np.asarray(gain_matrix, dtype=float)
-    tids = list(tids)
-    if g.shape != (len(tids), spec.n_receivers):
+    if g.shape != (len(s.transmitters), s.n_receivers):
         raise ValueError(
             f"gain matrix shape {g.shape} does not match "
-            f"({len(tids)}, {spec.n_receivers})"
+            f"({len(s.transmitters)}, {s.n_receivers})"
         )
-    row = {t: i for i, t in enumerate(tids)}
-    out = np.empty(spec.n_receivers)
-    for j, rule in enumerate(spec.rules):
-        signal = sum(float(g[row[t], j]) for t in rule.signal)
-        interference = sum(float(g[row[t], j]) for t in rule.interference)
+    out = np.empty(s.n_receivers)
+    for j, sets in enumerate(_receiver_sets(s)):
+        signal, interference = (sum(float(g[i, j]) for i in ids) for ids in sets)
         if signal < 0 or interference < 0:
             raise ValueError("gains must be nonnegative")
         out[j] = np.log2(1.0 + signal / (spec.noise_power + interference))
@@ -203,20 +185,11 @@ def strategy_gain_matrix(s: Scenario, strategies: dict) -> np.ndarray:
     )
 
 
-def _check_spec(s: Scenario, spec: UtilitySpec) -> None:
-    """Refuse a spec for another receiver count or naming unknown transmitters."""
-    if spec.n_receivers != s.n_receivers:
-        raise ValueError("utility spec receiver count does not match the scenario")
-    unknown = sorted({t for r in spec.rules for t in r.signal + r.interference} - set(s.tids))
-    if unknown:
-        raise ValueError(f"utility spec names transmitters the scenario lacks: {unknown}")
-
-
 def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.ndarray:
-    """Utility tuple achieved at one parameter point."""
-    _check_spec(s, spec)
+    """Utility tuple achieved at one parameter point: ``utilities`` of its
+    gain matrix, the scalar oracle of ``UtilitySweep.chunks``."""
     gains = strategy_gain_matrix(s, pareto_strategies(s, point))
-    return utilities(spec, s.tids, gains)
+    return utilities(s, spec, gains)
 
 
 @dataclass(frozen=True)
@@ -232,7 +205,7 @@ class SweepAxis:
         return self.values.shape[0]
 
 
-def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[SweepAxis], dict]:
+def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[SweepAxis], list]:
     """The axes of the joint grid and each transmitter's gain table.
 
     A transmitter's axis is its strategy list, the R rows of
@@ -240,11 +213,11 @@ def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[Sweep
     ``lam_<t>_<r>``, plus ``p_<t>``, the row's boundary power, where power
     control applies.  Each multi-member group adds a split axis.
 
-    ``fields[tid]`` is ``(table, strides)``: ``table`` is C-contiguous,
-    (K, R * S) over the R rows and the group's S split fractions (one of
-    1.0 when alone), fractions fastest, each entry its ``sweep_boundary``
-    gain (unit x power) x split; ``strides`` maps the position in the axes
-    of each own axis to its step along a table row.
+    ``fields[i]`` is ``(table, strides)`` of ``s.transmitters[i]``: ``table``
+    is C-contiguous, (K, R * S) over the R rows and the group's S split
+    fractions (one of 1.0 when alone), fractions fastest, each entry its
+    ``sweep_boundary`` gain (unit x power) x split; ``strides`` maps the
+    position in the axes of each own axis to its step along a table row.
 
     The product of the axis sizes, with each strategy list counted as its
     simplex grid until it is built, is refused above ``point_budget``
@@ -257,7 +230,7 @@ def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[Sweep
     splits = {g: SweepAxis("split", g, tuple(f"split_{tid}" for tid in g),
                            simplex_grid(len(g), step)) for g in groups}
     position = {g: n + i for i, g in enumerate(groups)}
-    axes, fields = [], {}
+    axes, fields = [], []
     for i, t in enumerate(s.transmitters):
         e = direction_vector(s, t.tid)
         lam, power, _, gains = sweep_boundary(
@@ -275,7 +248,7 @@ def _sweep_axes(s: Scenario, step: float, point_budget: int) -> tuple[list[Sweep
             split = splits[group].values[:, group.index(t.tid)]
             strides = {i: len(split), position[group]: 1}
         table = gains.T[:, :, None] * split
-        fields[t.tid] = (np.ascontiguousarray(table.reshape(len(table), -1)), strides)
+        fields.append((np.ascontiguousarray(table.reshape(len(table), -1)), strides))
     return axes + list(splits.values()), fields
 
 
@@ -301,7 +274,7 @@ class UtilitySweep:
     and then kept.
     """
 
-    def __init__(self, scenario: Scenario, axes: list[SweepAxis], spec: UtilitySpec, fields: dict):
+    def __init__(self, scenario: Scenario, axes: list[SweepAxis], spec: UtilitySpec, fields: list):
         self.scenario = scenario
         self.axes = axes
         self.shape = tuple(len(ax) for ax in axes)
@@ -316,7 +289,7 @@ class UtilitySweep:
     def utilities(self) -> np.ndarray:
         """The (grid points, receivers) utility cloud: ``chunks()`` concatenated."""
         if self._utilities is None:
-            out = np.empty((len(self), self._spec.n_receivers))
+            out = np.empty((len(self), self.scenario.n_receivers))
             start = 0
             for _, u in self.chunks():
                 out[start : start + len(u)] = u
@@ -331,24 +304,23 @@ class UtilitySweep:
         ``ix`` holds each row's index along every axis, and ``utilities`` the
         rows' (rows, receivers) utilities.  Each transmitter's gains are read
         from its table at one offset per row.  Each sum starts from zeros and
-        adds its rule's transmitters in rule order, so no value depends on
+        adds its set's transmitters in scenario order, so no value depends on
         which rows share a run.
         """
         n = len(self) if rows is None else len(rows)
         sigma2 = self._spec.noise_power
+        receiver_sets = _receiver_sets(self.scenario)
         for start in range(0, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
             flat = np.arange(start, stop) if rows is None else np.asarray(rows[start:stop], np.intp)
             ix = np.unravel_index(flat, self.shape)
-            offsets = {
-                tid: sum(ix[axis] * step for axis, step in strides.items())
-                for tid, (_, strides) in self._fields.items()
-            }
-            out = np.empty((len(flat), self._spec.n_receivers))
-            for j, rule in enumerate(self._spec.rules):
+            offsets = [sum(ix[axis] * step for axis, step in strides.items())
+                       for _, strides in self._fields]
+            out = np.empty((len(flat), len(receiver_sets)))
+            for j, sets in enumerate(receiver_sets):
                 signal, interference = (
-                    sum((self._fields[t][0][j].take(offsets[t]) for t in tids), np.zeros(len(flat)))
-                    for tids in (rule.signal, rule.interference)
+                    sum((self._fields[i][0][j].take(offsets[i]) for i in ids), np.zeros(len(flat)))
+                    for ids in sets
                 )
                 out[:, j] = np.log2(1.0 + signal / (sigma2 + interference))
             yield ix, out
@@ -394,15 +366,13 @@ def sweep_utility_region(
 
     The enumeration is the Cartesian product of every transmitter's
     strategy list and every multi-member group's split grid; rows come out
-    in lexicographic order.  ``_check_spec`` refuses a spec unfit for
-    ``s``, and ``_sweep_axes`` a grid above ``point_budget``.  Every
-    refusal and every boundary table happens here; the returned
-    ``UtilitySweep`` evaluates the utilities, run by run, only when they
-    are read.
+    in lexicographic order.  ``_sweep_axes`` refuses a grid above
+    ``point_budget``.  Every refusal and every boundary table happens here;
+    the returned ``UtilitySweep`` evaluates the utilities, run by run, only
+    when they are read.
     """
     if spec is None:
         spec = UtilitySpec.from_scenario(s)
-    _check_spec(s, spec)
     axes, fields = _sweep_axes(s, step, point_budget)
     return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=fields)
 

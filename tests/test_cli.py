@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gainregion.network import (
     direction_vector,
     load_scenario,
     save_scenario,
+    snr_to_noise,
 )
 from gainregion.pareto import (
     UtilitySpec,
@@ -242,6 +244,23 @@ def test_sweep_rates_deterministic_bytes(tmp_path):
     run("sweep-rates", "--scenario", str(scen), "--step", "0.25", "--out", str(a))
     run("sweep-rates", "--scenario", str(scen), "--step", "0.25", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_rates_snr_db_is_the_noise_power_it_names(tmp_path):
+    # --snr-db 5 writes what the scenario re-saved with that noise power
+    # writes, byte for byte, apart from the scenario digest.
+    scen, resaved = tmp_path / "ic.json", tmp_path / "ic-5db.json"
+    run("gen", "--template", "ic", "--users", "2", "--antennas", "2",
+        "--seed", "6", "--out", str(scen))
+    save_scenario(replace(load_scenario(scen), noise_power=snr_to_noise(5)), resaved)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("sweep-rates", "--scenario", str(scen), "--snr-db", "5",
+               "--step", "0.25", "--out", str(a)) == 0
+    assert run("sweep-rates", "--scenario", str(resaved), "--step", "0.25", "--out", str(b)) == 0
+    lines_a, lines_b = (p.read_bytes().splitlines(keepends=True) for p in (a, b))
+    differ = [x.partition(b"=")[0] for x, y in zip(lines_a, lines_b, strict=True) if x != y]
+    assert differ == [b"# scenario_digest"]
+    assert f"# noise_power={cli._fmt(snr_to_noise(5))}\n".encode() in lines_a
 
 
 def test_verify_known_suites(capsys):

@@ -51,7 +51,8 @@ def test_lazy_names_resolve_from_verify_without_loading_it():
 
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = sorted((ROOT / "src" / "gainregion").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SCANNED = [path for part in ("src/gainregion", "tests", "tools")
+           for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:

@@ -148,6 +148,18 @@ def test_power_groups_must_partition():
         )
 
 
+@pytest.mark.parametrize("tid", ["a,b", "c\nd", "\x00", "tab\t"])
+def test_an_id_that_would_break_a_csv_line_is_refused(tid):
+    # Ids name the CSV columns (lam_<id>_<r>) and the meta line of sweep-gain.
+    with pytest.raises(ScenarioFormatError, match=r"^transmitters\[0\]\.id: must hold no comma"):
+        Scenario((TransmitterSpec(tid, 2, {1}),), 1, 1.0, ((tid,),))
+
+
+def test_an_empty_power_group_is_refused():
+    with pytest.raises(ScenarioFormatError, match=r"^power_groups\[1\]: must not be empty"):
+        Scenario((TransmitterSpec("1", 2, {1}),), 1, 1.0, (("1",), ()))
+
+
 def test_load_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "miso-gain-region/1", "receivers": 2}')
@@ -201,11 +213,15 @@ _MISSING = object()
         (("channels", "1/4"), _IC["channels"]["1/1"], "channels[1/4]: receiver outside"),
         (("channels", "1/1", 0, 0), math.inf, "channels[1/1]: non-finite"),
         (("transmitters", 0, "antennas"), _MISSING, "transmitters[0].antennas: missing"),
+        (("transmitters", 1, "id"), "a,b", "transmitters[1].id: must hold no comma"),
+        (("transmitters", 2, "id"), "c\nd", "transmitters[2].id: must hold no comma"),
+        (("power_groups",), [["1"], ["2"], ["3"], []], "power_groups[3]: must not be empty"),
         (None, None, "document: invalid JSON"),
     ],
     ids=["receivers-0", "noise-0", "no-transmitters", "duplicate-id", "antennas-0",
          "intended-range", "shared-key-antennas", "unknown-key", "receiver-range",
-         "non-finite", "missing-field", "invalid-json"],
+         "non-finite", "missing-field", "id-comma", "id-newline", "empty-group",
+         "invalid-json"],
 )
 def test_a_document_out_of_range_or_unreadable_is_refused_by_path(tmp_path, keys, value, message):
     doc = json.loads(json.dumps(_IC))

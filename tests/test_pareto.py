@@ -13,11 +13,12 @@ from gainregion.network import (
     ic_skeleton,
     load_scenario,
     mixed_skeleton,
+    save_scenario,
+    scenario_digest,
     snr_to_noise,
 )
 from gainregion.pareto import (
     ParameterPoint,
-    ReceiverRule,
     SweepAxis,
     UtilitySpec,
     pareto_filter,
@@ -65,67 +66,69 @@ def indicator(k, size):
 # ------------------------------------------------------------------ rates
 
 
+def rate_scenario(noise_power, *intended):
+    """A skeleton with one single-antenna transmitter per intended set."""
+    transmitters = [TransmitterSpec(str(i + 1), 1, r) for i, r in enumerate(intended)]
+    k = max(max(r) for r in intended)
+    return Scenario(transmitters, k, noise_power, [(t.tid,) for t in transmitters])
+
+
 def test_rate_one_bit():
-    spec = UtilitySpec(rules=(ReceiverRule(("a",), ()),), noise_power=0.5)
-    assert utilities(spec, ["a"], [[0.5]])[0] == pytest.approx(1.0)
+    s = rate_scenario(0.5, {1})
+    assert utilities(s, UtilitySpec.from_scenario(s), [[0.5]])[0] == pytest.approx(1.0)
 
 
 def test_rate_zero_gains():
-    spec = UtilitySpec(rules=(ReceiverRule(("a",), ("b",)),), noise_power=0.3)
-    assert utilities(spec, ["a", "b"], [[0.0], [0.0]])[0] == 0.0
+    # Receiver 1 hears transmitter 1 as signal and transmitter 2 as interference.
+    s = rate_scenario(0.3, {1}, {2})
+    assert utilities(s, UtilitySpec.from_scenario(s), [[0.0, 1.0], [0.0, 1.0]])[0] == 0.0
 
 
 def test_rate_matches_direct_formula(rng):
-    spec = UtilitySpec(
-        rules=(ReceiverRule(("a", "b"), ("c",)),), noise_power=0.7
-    )
+    # Receiver 1: signal from transmitters 1 and 2, interference from 3.
+    s = rate_scenario(0.7, {1}, {1}, {2})
+    spec = UtilitySpec.from_scenario(s)
     for _ in range(25):
-        g = dict(zip("abc", rng.uniform(0, 3, 3)))
-        expected = np.log2(1 + (g["a"] + g["b"]) / (0.7 + g["c"]))
-        got = utilities(spec, g.keys(), [[x] for x in g.values()])[0]
+        a, b, c = rng.uniform(0, 3, 3)
+        expected = np.log2(1 + (a + b) / (0.7 + c))
+        got = utilities(s, spec, [[a, 1.0], [b, 1.0], [c, 1.0]])[0]
         assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_rates_round_as_the_sweep_rounds():
     # The scalar rate takes numpy's log2, as UtilitySweep.chunks does:
     # math.log2 differs from it in the last bit on some arguments.
-    spec = UtilitySpec(rules=(ReceiverRule(("a",), ()),), noise_power=1.0)
+    s = rate_scenario(1.0, {1})
+    spec = UtilitySpec.from_scenario(s)
     gains = np.random.default_rng(5).uniform(0.0, 20.0, 20_000)
-    got = [utilities(spec, ["a"], [[g]])[0] for g in gains.tolist()]
+    got = [utilities(s, spec, [[g]])[0] for g in gains.tolist()]
     assert np.array(got).tobytes() == np.log2(1.0 + gains / 1.0).tobytes()
 
 
 def test_rate_rejects_bad_noise():
     with pytest.raises(ValueError, match="noise"):
-        UtilitySpec(rules=(ReceiverRule(("a",), ()),), noise_power=0.0)
+        UtilitySpec(noise_power=0.0)
 
 
-def test_receiver_rule_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        ReceiverRule(("a",), ("a",))
-
-
-@pytest.mark.parametrize(
-    "signal, interference",
-    [(("1", "1"), ("2",)), (("1",), ("2", "2"))],
-    ids=["signal", "interference"],
-)
-def test_receiver_rule_rejects_a_repeated_transmitter(signal, interference):
-    # Both evaluators would count a repeated transmitter's gain twice.
-    with pytest.raises(ValueError, match=r"overlap or repeat: \['(1|2)'\]"):
-        ReceiverRule(signal, interference)
+def test_rates_refuse_a_misshapen_or_negative_gain_matrix():
+    s = rate_scenario(1.0, {1}, {2})
+    spec = UtilitySpec.from_scenario(s)
+    with pytest.raises(ValueError, match=r"shape \(2, 1\) does not match \(2, 2\)"):
+        utilities(s, spec, [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        utilities(s, spec, [[1.0, 1.0], [-1.0, 1.0]])
 
 
 def test_utility_spec_from_mixed_scenario():
-    spec = UtilitySpec.from_scenario(mixed_skeleton())
-    assert spec.rules[0] == ReceiverRule(("11",), ("12", "2"))
-    assert spec.rules[1] == ReceiverRule(("12", "2"), ("11",))
-    assert spec.rules[2] == ReceiverRule(("2",), ("11", "12"))
+    s = mixed_skeleton(noise_power=0.5)
+    assert UtilitySpec.from_scenario(s) == UtilitySpec(0.5)
+    assert UtilitySpec.from_scenario(s, noise_power=2.0) == UtilitySpec(2.0)
+    # Transmitters 11, 12 and 2 at positions 0, 1 and 2.
+    assert pareto._receiver_sets(s) == [([0], [1, 2]), ([1, 2], [0]), ([2], [0, 1])]
 
 
 def test_utility_spec_from_ic_scenario():
-    spec = UtilitySpec.from_scenario(ic_skeleton(3, 3))
-    assert spec.rules[0] == ReceiverRule(("1",), ("2", "3"))
+    assert pareto._receiver_sets(ic_skeleton(3, 3))[0] == ([0], [1, 2])
 
 
 # ------------------------------------------------------- strategy profiles
@@ -181,7 +184,7 @@ def test_mixed_degenerate_split_shuts_down_second_virtual():
     assert strategies["12"].power == 0.0
     assert strategies["11"].power == 1.0
     gains = strategy_gain_matrix(s, strategies)
-    u = utilities(spec, s.tids, gains)
+    u = utilities(s, spec, gains)
     # Receiver 2 sees only the multicast transmitter once 12 is silent.
     direct = np.log2(1 + gains[2, 1] / (spec.noise_power + gains[0, 1]))
     assert u[1] == pytest.approx(direct, rel=1e-12)
@@ -377,6 +380,12 @@ def broadcast_fields(s, axes):
     return fields
 
 
+def signal_and_interference(s, r):
+    """Receiver r's signal and interference transmitter ids, in scenario order."""
+    return ([t.tid for t in s.transmitters if r in t.intended],
+            [t.tid for t in s.transmitters if r not in t.intended])
+
+
 def power_axis_clouds(s, step):
     """The former joint cloud, one leading index at a time: a lambda axis per
     transmitter, a split axis per multi-member group, then a power axis of
@@ -393,10 +402,10 @@ def power_axis_clouds(s, step):
     shape = tuple(len(ax) for ax in axes)
     for i0 in range(shape[0]):
         u = np.empty((*shape[1:], s.n_receivers))
-        for j, rule in enumerate(spec.rules):
+        for j, r in enumerate(s.receivers):
             signal, interference = (
                 sum((np.broadcast_to(fields[t][j], shape)[i0] for t in tids), np.zeros(shape[1:]))
-                for tids in (rule.signal, rule.interference)
+                for tids in signal_and_interference(s, r)
             )
             u[..., j] = np.log2(1.0 + signal / (spec.noise_power + interference))
         yield u.reshape(-1, s.n_receivers)
@@ -449,16 +458,17 @@ def test_chunks_are_the_utilities_of_any_rows_in_bounded_runs(make, step, kinds)
     cloud = sweep_utility_region(s, step=step).utilities
     assert cloud.shape == (len(sweep), s.n_receivers)
     assert np.concatenate([u for _, u in chunks]).tobytes() == cloud.tobytes()
-    # The reference: one leading index at a time, each sum from zeros in rule order.
+    # The reference: one leading index at a time, each sum from zeros in scenario order.
     fields, spec = broadcast_fields(s, sweep.axes), UtilitySpec.from_scenario(s)
     per_index = len(sweep) // sweep.shape[0]
     for i0 in range(sweep.shape[0]):
-        for j, rule in enumerate(spec.rules):
+        for j, r in enumerate(s.receivers):
+            signal_ids, interference_ids = signal_and_interference(s, r)
             signal = np.zeros(sweep.shape[1:])
-            for tid in rule.signal:
+            for tid in signal_ids:
                 signal = signal + np.broadcast_to(fields[tid][j], sweep.shape)[i0]
             interference = np.zeros(sweep.shape[1:])
-            for tid in rule.interference:
+            for tid in interference_ids:
                 interference = interference + np.broadcast_to(fields[tid][j], sweep.shape)[i0]
             want = np.log2(1.0 + signal / (spec.noise_power + interference)).ravel()
             rows = cloud[i0 * per_index : (i0 + 1) * per_index, j]
@@ -499,34 +509,6 @@ def test_chunks_of_unsorted_repeated_rows_are_those_rows_of_the_cloud():
     assert np.concatenate([u for _, u in picked]).tobytes() == sweep.utilities[rows].tobytes()
 
 
-def test_sweep_refuses_a_spec_naming_transmitters_the_scenario_lacks():
-    s = ic_scenario(seed=84, users=2, antennas=2)
-    spec = UtilitySpec(
-        rules=(ReceiverRule(("1",), ("9",)), ReceiverRule(("2", "8"), ("1",))), noise_power=1.0
-    )
-    with pytest.raises(ValueError, match=r"transmitters the scenario lacks: \['8', '9'\]"):
-        sweep_utility_region(s, spec, step=0.5)
-
-
-@pytest.mark.parametrize(
-    "rules, message",
-    [
-        ((ReceiverRule(("1", "2"), ()),), "receiver count does not match the scenario"),
-        ((ReceiverRule(("1",), ("9",)), ReceiverRule(("2",), ("1",))),
-         r"transmitters the scenario lacks: \['9'\]"),
-    ],
-    ids=["receiver-count", "unknown-id"],
-)
-def test_sweep_and_scalar_path_refuse_a_spec_alike(rules, message):
-    s = ic_scenario(seed=84, users=2, antennas=2)
-    point = sweep_utility_region(s, step=0.5).parameter_point(0)
-    spec = UtilitySpec(rules=rules, noise_power=1.0)
-    with pytest.raises(ValueError, match=message):
-        sweep_utility_region(s, spec, step=0.5)
-    with pytest.raises(ValueError, match=message):
-        utilities_at(s, spec, point)
-
-
 def test_sweep_matches_scalar_path():
     s = ic_scenario(seed=9, users=2, antennas=2, snr_db=5.0)
     spec = UtilitySpec.from_scenario(s)
@@ -564,6 +546,20 @@ def test_chunks_of_random_rows_are_the_scalar_oracle(case, data):
     else:
         # A split multiplies the gains in another order on the scalar path.
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenarios())
+def test_a_saved_scenario_reloads_to_the_same_digest_and_sweep(tmp_path_factory, case):
+    s, step = case
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    save_scenario(s, path)
+    loaded = load_scenario(path)
+    assert scenario_digest(loaded) == scenario_digest(s)
+    before, after = (sweep_utility_region(x, step=step) for x in (s, loaded))
+    assert [ax.values.tobytes() for ax in after.axes] == [ax.values.tobytes() for ax in before.axes]
+    for (_, u), (_, v) in zip(after.chunks(), before.chunks(), strict=True):
+        assert u.tobytes() == v.tobytes()
 
 
 def test_sweep_all_mrt_matches_direct_rates():
@@ -768,6 +764,16 @@ def test_pareto_filter_answers_small_subproblems_at_the_leaf(monkeypatch):
     assert len(calls) <= 500
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenarios(max_rows=300))
+def test_pareto_filter_matches_bruteforce_on_drawn_sweeps(case):
+    # Sweep clouds repeat rows and tie on columns; the row cap keeps the
+    # pairwise oracle to about 2 s over all examples.
+    s, step = case
+    u = sweep_utility_region(s, step=step).utilities
+    assert pareto_filter(u) == pareto_filter_bruteforce(u)
+
+
 # ----------------------------------------------------- two-user results
 
 
@@ -847,9 +853,9 @@ def test_utility_monotonicity_under_completion(rng):
         q2_full = full_power_completion(q2, channels2, target)
         new_gains = gains.copy()
         new_gains[2] = [power_gain(q2, h) for h in channels2]
-        before = utilities(spec, s.tids, new_gains)
+        before = utilities(s, spec, new_gains)
         new_gains[2] = [power_gain(q2_full, h) for h in channels2]
-        after = utilities(spec, s.tids, new_gains)
+        after = utilities(s, spec, new_gains)
         if receiver == 3:  # receiver 3 decodes transmitter 2
             assert after[receiver - 1] >= before[receiver - 1]
         else:  # receiver 1 suffers interference from transmitter 2
@@ -875,7 +881,7 @@ def test_interior_gain_tuples_are_never_pareto(rng):
     outer = inner.copy()
     outer[0] = [power_gain(q1_full, h) for h in channels1]
     # Off-target gains agree to 1e-10; round so the domination is exact.
-    u_inner = utilities(spec, s.tids, np.round(inner, 10))
-    u_outer = utilities(spec, s.tids, np.round(outer, 10))
+    u_inner = utilities(s, spec, np.round(inner, 10))
+    u_outer = utilities(s, spec, np.round(outer, 10))
     assert np.all(u_outer >= u_inner)
     assert u_outer[0] > u_inner[0]
