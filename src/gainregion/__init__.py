@@ -8,9 +8,7 @@ utility-regions, and independent characterizations (MRT/ZF combinations,
 null-shaping constraints) cross-check the strategies.
 
 The names below are the user-facing surface; primitives (eigen kernels,
-projectors, oracles, verify suites) stay in their submodules.  The
-null-shaping names and ``two_user_combination`` load ``verify``, the home
-of the check-only mathematics, at their first use, since no sweep needs it.
+projectors, oracles, verify suites) stay in their submodules.
 """
 
 __version__ = "0.1.0"
@@ -56,16 +54,4 @@ __all__ = [
     # pareto
     "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "pareto_strategies",
     "strategy_gain_matrix", "sweep_utility_region", "utilities_at",
-    # verify, loaded at first use
-    "null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence",
 ]
-
-_LAZY = ("null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,14 +21,15 @@ whole cloud, and the writer evaluates the kept rows again, chunk by chunk.
 
 ``_format17`` is the kernel: it formats a block's non-negative floats in
 fixed notation with array operations, and format() prints every other
-value (no sweep writes a negative one).  Each field is a NUL-padded uint8
-row followed by its separator, and a block is written as one ``bytes``: its
-fields side by side, without the padding.  ``sweep-rates`` formats each row
-of each parameter axis once, into one S string per row, and per block
-gathers those rows by the rows' axis indices, so only the utilities go
-through the kernel per block.  Axis tables are formatted and packed with
-array operations ``_WRITE_BLOCK`` rows at a time: a one-axis grid's axis is
-the whole grid, and one kernel call over it would peak far above the table.
+value (no sweep writes a negative one).  Every input to ``_csv_bytes`` is
+NUL-padded uint8 field rows, each field followed by its separator, and a
+block is written as one ``bytes``: its fields side by side, without the
+padding.  ``sweep-rates`` formats each row of each parameter axis once, and
+per block gathers those rows by the rows' axis indices, so only the
+utilities go through the kernel per block.  An axis table is formatted
+``_WRITE_BLOCK`` rows at a time (a one-axis grid's axis is the whole grid,
+and one kernel call over it would peak far above the table) and trimmed to
+the byte columns that hold text in some row.
 ``sweep-gain`` formats each block's weights and power, and its gains, in two
 kernel calls, and gathers each row's power class from its label.
 
@@ -225,17 +226,16 @@ def _csv_bytes(block) -> bytes:
 
 
 def _axis_table(values) -> np.ndarray:
-    """Each row of an axis's 2-D values as one S string: its fields, each
-    followed by a comma.  Formatted ``_WRITE_BLOCK`` rows at a time; a stable
-    sort moves each row's NUL padding to its end, cut to the longest row."""
-    blocks = []
+    """``_fields`` rows of an axis's 2-D values, each field followed by a
+    comma, formatted ``_WRITE_BLOCK`` rows at a time and cut to the byte
+    columns that hold text in some row."""
+    text = None
     for start in range(0, len(values), _WRITE_BLOCK):
-        text = _fields(values[start : start + _WRITE_BLOCK])
-        pad = text == 0
-        text = np.take_along_axis(text, pad.argsort(axis=1, kind="stable"), axis=1)
-        width = text.shape[1] - pad.sum(axis=1).min()
-        blocks.append(np.ascontiguousarray(text[:, :width]).view(f"S{width}").ravel())
-    return np.concatenate(blocks)
+        block = _fields(values[start : start + _WRITE_BLOCK])
+        if text is None:
+            text = np.empty((len(values), block.shape[1]), np.uint8)
+        text[start : start + len(block)] = block
+    return text.compress(text.any(axis=0), axis=1)
 
 
 def _parse_direction(text: str, k: int) -> np.ndarray:
@@ -345,8 +345,7 @@ def cmd_sweep_rates(args) -> int:
         for ix, utilities in sweep.chunks(keep):
             for start in range(0, len(utilities), _WRITE_BLOCK):
                 rows = slice(start, start + _WRITE_BLOCK)
-                axes = [t.take(j[rows]).view(np.uint8).reshape(-1, t.itemsize)
-                        for t, j in zip(tables, ix)]
+                axes = [t.take(j[rows], axis=0) for t, j in zip(tables, ix)]
                 yield [*axes, _fields(utilities[rows], b"\n")]
 
     _write_csv(args.out, meta, columns, blocks())

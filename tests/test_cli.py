@@ -176,6 +176,7 @@ def test_sweep_gain_direction_with_a_leading_minus(tmp_path):
     [
         ("+1,-1", "direction needs 3 entries, got 2"),
         ("+1,0,-1", "direction entries must be +1 or -1, got '0'"),
+        ("-1,-1,-1", "direction vector of all -1 is infeasible"),
     ],
 )
 def test_sweep_gain_rejects_a_bad_direction(tmp_path, capsys, direction, message):
@@ -385,6 +386,15 @@ def test_unknown_transmitter_prints_the_message(tmp_path, capsys):
         ],
         pytest.param(["sweep-gain", "--scenario", "{scen}", "--step", "0.5"], None,
                      "several transmitters; pass --transmitter", id="gain-no-transmitter"),
+        pytest.param(["sweep-gain", "--scenario", "{scen}", "--transmitter", "1",
+                      "--p-samples", "1"], None, "p_free_samples must be >= 2",
+                     id="gain-one-p-sample"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--snr-db", "nan"], None,
+                     "snr_db must be finite", id="rates-noise-nan"),
+        pytest.param(["gen", "--template", "ic", "--users", "0", "--seed", "1"], None,
+                     "users must be >= 1", id="gen-no-users"),
+        pytest.param(["sweep-rates", "--scenario", "{scen}", "--step", "0.5"],
+                     ("channels", {}), "no channel for transmitter '1'", id="channels-empty"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, argv, edit, message):
@@ -508,9 +518,14 @@ def test_axis_table_is_the_per_row_packing(width):
     pool = [np.zeros(n), rng.integers(0, 9, n) / 8, rng.uniform(0, 1e-4, n), rng.uniform(0, 1, n)]
     choice = rng.integers(0, len(pool), (n, width))
     values = np.choose(choice, [np.broadcast_to(p[:, None], (n, width)) for p in pool])
-    table, expected = cli._axis_table(values), per_row_axis_table(values)
-    assert table.dtype == expected.dtype
-    assert table.tobytes() == expected.tobytes()
+    # The last column's longest text (23 bytes) is in the last, partial block only.
+    values[-1, -1] = 1.2345678901234567e-300
+    expected = per_row_axis_table(values)
+    lengths = [len(format(v, ".17g")) for v in values[:, -1].tolist()]
+    assert max(lengths[: 2 * cli._WRITE_BLOCK]) < max(lengths)
+    table = cli._axis_table(values)
+    assert table.flags.c_contiguous
+    assert [cli._csv_bytes([row]) for row in table] == expected.tolist()
 
 
 # gen flags, step and the parameter column each scenario is there for:

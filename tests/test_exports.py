@@ -1,9 +1,6 @@
 import ast
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,28 +23,6 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
-
-
-# Runs in a fresh interpreter: the test process has imported verify already.
-_LAZY_RUN = """
-import sys
-import gainregion
-
-assert "gainregion.verify" not in sys.modules
-lazy = {name: getattr(gainregion, name) for name in (
-    "null_constraints", "projected_mrt", "two_user_combination", "verify_gain_equivalence")}
-from gainregion import verify
-
-for name, value in lazy.items():
-    assert value is getattr(verify, name), name
-"""
-
-
-def test_lazy_names_resolve_from_verify_without_loading_it():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_RUN], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 ROOT = Path(__file__).resolve().parents[1]
