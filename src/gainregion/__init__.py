@@ -29,8 +29,6 @@ from .pareto import (
     UtilitySpec,
     UtilitySweep,
     pareto_filter,
-    pareto_strategies,
-    strategy_gain_matrix,
     sweep_utility_region,
     utilities_at,
 )
@@ -52,6 +50,6 @@ __all__ = [
     "BoundaryStrategy", "PowerClass", "boundary_strategy", "boundary_table",
     "simplex_grid", "strategy_gains", "sweep_boundary",
     # pareto
-    "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "pareto_strategies",
-    "strategy_gain_matrix", "sweep_utility_region", "utilities_at",
+    "ParameterPoint", "UtilitySpec", "UtilitySweep", "pareto_filter", "sweep_utility_region",
+    "utilities_at",
 ]

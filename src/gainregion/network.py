@@ -113,10 +113,9 @@ class Scenario:
         raise KeyError(f"unknown transmitter id {tid!r}")
 
     def group_of(self, tid: str) -> tuple[str, ...]:
-        for g in self.power_groups:
-            if tid in g:
-                return g
-        raise KeyError(f"transmitter {tid!r} is in no power group")
+        """The power group of a known id: ``_check_structure`` puts each in exactly one."""
+        t = self.transmitter(tid)
+        return next(g for g in self.power_groups if t.tid in g)
 
     def channel(self, tid: str, receiver: int) -> np.ndarray:
         t = self.transmitter(tid)

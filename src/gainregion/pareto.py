@@ -1,9 +1,9 @@
 """Multi-transmitter Pareto machinery.
 
-Assembles per-transmitter boundary strategies into network strategy
-profiles, evaluates log-SINR utilities, sweeps the joint parameter grid
-into a utility cloud and filters it to the nondominated set; the two-user
-MRT/ZF-combination results live in ``verify``.
+Evaluates the log-SINR utilities of per-transmitter boundary strategies,
+sweeps the joint parameter grid into a utility cloud and filters it to the
+nondominated set; the two-user MRT/ZF-combination results live in
+``verify``.
 
 As in the paper, a receiver's utility is its rate log2(1 + S / (sigma^2 +
 I)): S sums the gains of the transmitters that intend it and I those of
@@ -11,8 +11,10 @@ all others.  This is the rule along whose boundary sections (+1 at
 intended receivers, ``network.direction_vector``) every strategy list is
 built; ``UtilitySpec`` holds only sigma^2.
 
-A transmitter's strategy in a profile is a ``region.BoundaryStrategy``
-whose power is its boundary power times its power group split.
+A transmitter's gains at a parameter point are those of its
+``region.BoundaryStrategy``, whose power is its boundary power, times its
+power group split: the covariance it realizes is ``split *
+strategy.covariance()``.
 
 Sweeps are pure maps over a deterministic parameter enumeration: rows are
 lexicographic over the axes (each transmitter's strategy list, then power
@@ -25,7 +27,8 @@ object is built.  The utilities are evaluated only when read, by one reader,
 filter's kept rows), in runs of about ``_CHUNK_ROWS``, and reads each
 transmitter's gains at one table offset per row, so a writer holds one run
 at a time, never the whole cloud.  ``utilities_at`` is the scalar oracle
-for any row.
+for any row, bitwise: it multiplies the table's factors in the table's
+order.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +62,6 @@ __all__ = [
     "UtilitySpec",
     "utilities",
     "ParameterPoint",
-    "pareto_strategies",
-    "strategy_gain_matrix",
     "utilities_at",
     "SweepAxis",
     "UtilitySweep",
@@ -155,40 +156,26 @@ def _split_fraction(s: Scenario, point: ParameterPoint, tid: str) -> float:
     return float(check_simplex_weight(fractions)[group.index(tid)])
 
 
-def pareto_strategies(s: Scenario, point: ParameterPoint) -> dict:
-    """Per-transmitter boundary strategies for one parameter point.
+def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.ndarray:
+    """Utility tuple achieved at one parameter point, the scalar oracle of
+    ``UtilitySweep.chunks``.
 
-    Maps each transmitter id to its ``boundary_strategy`` (the dominant
-    eigenvector of its weighted channel combination in its own direction
-    vector, with the full/free/zero power rule), with the power scaled by
-    its group's split fraction; ``power_class`` stays the class of its
-    weights.  Splits must pass ``region.check_simplex_weight``.
+    Each transmitter's gains are the ``strategy_gains`` of its
+    ``boundary_strategy`` (the dominant eigenvector of its weighted channel
+    combination in its own direction vector, with the full/free/zero power
+    rule) times its group's split fraction: the factors of its gain table,
+    in the table's order, so every row is bitwise that of ``chunks``.
+    Splits must pass ``region.check_simplex_weight``.
     """
-    out = {}
+    gains = []
     for t in s.transmitters:
         try:
             lam = point.lambdas[t.tid]
         except KeyError:
             raise ValueError(f"parameter point lacks weights for transmitter {t.tid!r}") from None
-        e = direction_vector(s, t.tid)
-        bs = boundary_strategy(
-            s.channels_for(t.tid), lam, e, p_free=point.free_powers.get(t.tid)
-        )
-        out[t.tid] = replace(bs, power=_split_fraction(s, point, t.tid) * bs.power)
-    return out
-
-
-def strategy_gain_matrix(s: Scenario, strategies: dict) -> np.ndarray:
-    """Gains x[k, l] = power_k |w_k^H h_{k,l}|^2 for all transmitter/receiver pairs."""
-    return np.array(
-        [strategy_gains(s.channels_for(t.tid), strategies[t.tid]) for t in s.transmitters]
-    )
-
-
-def utilities_at(s: Scenario, spec: UtilitySpec, point: ParameterPoint) -> np.ndarray:
-    """Utility tuple achieved at one parameter point: ``utilities`` of its
-    gain matrix, the scalar oracle of ``UtilitySweep.chunks``."""
-    gains = strategy_gain_matrix(s, pareto_strategies(s, point))
+        h = s.channels_for(t.tid)
+        bs = boundary_strategy(h, lam, direction_vector(s, t.tid), point.free_powers.get(t.tid))
+        gains.append(strategy_gains(h, bs) * _split_fraction(s, point, t.tid))
     return utilities(s, spec, gains)
 
 
@@ -478,16 +465,4 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def pareto_filter_bruteforce(points) -> list[int]:
     """O(n^2) pairwise reference filter; the correctness oracle."""
     pts = _check_points(points)
-    n = pts.shape[0]
-    keep = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if j == i:
-                continue
-            if np.all(pts[j] >= pts[i]) and np.any(pts[j] > pts[i]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
+    return [i for i, p in enumerate(pts) if not np.any((pts >= p).all(1) & (pts > p).any(1))]

@@ -218,10 +218,11 @@ def boundary_eigensystem(channels, lam, e) -> EigenSystem:
 class BoundaryStrategy:
     """A rank-1 boundary strategy: unit beamformer plus a power level.
 
-    ``covariance()`` is ``power * w w^H``, so ``power`` is the realized
-    trace (the emitted amplitude is sqrt(power)); in pareto_strategies it
-    includes the power group split.  ``power_class`` is the class of the
-    boundary weights ``lam``, which a split does not change.
+    ``covariance()`` is ``power * w w^H``, so ``power`` is the boundary
+    power, the trace of that covariance (the emitted amplitude is
+    sqrt(power)).  A transmitter in a shared power group realizes its
+    group split times this covariance (``pareto.utilities_at``).
+    ``power_class`` is the class of the boundary weights ``lam``.
     """
 
     direction: np.ndarray

@@ -4,6 +4,8 @@ import pytest
 from gainregion.linalg import (
     HERMITIAN_RTOL,
     DegenerateEigenspaceWarning,
+    as_cvec,
+    check_hermitian,
     eig_hermitian,
     fix_phase,
     outer_product,
@@ -188,6 +190,24 @@ def test_eig_hermitian_stack_matches_single_matrices(rng):
 def test_eig_hermitian_rejects_empty():
     with pytest.raises(ValueError, match="zero-dimensional"):
         eig_hermitian(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: as_cvec(np.ones((2, 2))), r"nonempty 1-D vector, got shape \(2, 2\)",
+                     id="vector-2d"),
+        pytest.param(lambda: as_cvec([]), r"nonempty 1-D vector, got shape \(0,\)",
+                     id="vector-empty"),
+        pytest.param(lambda: as_cvec([1.0, np.nan]), "vector contains non-finite entries",
+                     id="vector-nan"),
+        pytest.param(lambda: check_hermitian(np.ones((2, 3))),
+                     r"expected a square matrix, got shape \(2, 3\)", id="matrix-not-square"),
+    ],
+)
+def test_vector_and_matrix_checks_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_tied_blocks_groups_multiple_eigenvalues():

@@ -203,6 +203,7 @@ _MISSING = object()
     [
         (("receivers",), 0, "receivers: must be >= 1"),
         (("noise_power",), 0.0, "noise_power: must be positive"),
+        (("noise_power",), 10**400, "noise_power: integer outside the float range"),
         (("transmitters",), [], "transmitters: must not be empty"),
         (("transmitters", 1, "id"), "1", "transmitters[1].id: duplicate id"),
         (("transmitters", 0, "antennas"), 0, "transmitters[0].antennas: must be >= 1"),
@@ -218,8 +219,8 @@ _MISSING = object()
         (("power_groups",), [["1"], ["2"], ["3"], []], "power_groups[3]: must not be empty"),
         (None, None, "document: invalid JSON"),
     ],
-    ids=["receivers-0", "noise-0", "no-transmitters", "duplicate-id", "antennas-0",
-         "intended-range", "shared-key-antennas", "unknown-key", "receiver-range",
+    ids=["receivers-0", "noise-0", "noise-overflows", "no-transmitters", "duplicate-id",
+         "antennas-0", "intended-range", "shared-key-antennas", "unknown-key", "receiver-range",
          "non-finite", "missing-field", "id-comma", "id-newline", "empty-group",
          "invalid-json"],
 )
@@ -237,6 +238,14 @@ def test_a_document_out_of_range_or_unreadable_is_refused_by_path(tmp_path, keys
     (tmp_path / "bad.json").write_text(text)
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}"):
         load_scenario(tmp_path / "bad.json")
+
+
+def test_group_of_an_unknown_id_is_refused_as_by_transmitter():
+    s = mixed_skeleton()
+    assert s.group_of("12") == ("11", "12")
+    for lookup in (s.transmitter, s.group_of):
+        with pytest.raises(KeyError, match="unknown transmitter id '9'"):
+            lookup("9")
 
 
 def test_mixed_skeleton_receiver_sets():

@@ -23,20 +23,17 @@ from gainregion.pareto import (
     UtilitySpec,
     pareto_filter,
     pareto_filter_bruteforce,
-    pareto_strategies,
-    strategy_gain_matrix,
     sweep_utility_region,
     utilities,
     utilities_at,
 )
-from gainregion.linalg import outer_product
 from gainregion.region import (
-    PowerClass,
     boundary_strategy,
     boundary_table,
     class_power,
     needs_power_control,
     simplex_grid,
+    strategy_gains,
 )
 from gainregion.verify import (
     alignment_search,
@@ -134,14 +131,28 @@ def test_utility_spec_from_ic_scenario():
 # ------------------------------------------------------- strategy profiles
 
 
+def boundary_profile(s, lambdas):
+    """Each transmitter's ``boundary_strategy`` at its weights, keyed by id."""
+    return {
+        tid: boundary_strategy(s.channels_for(tid), lambdas[tid], direction_vector(s, tid))
+        for tid in s.tids
+    }
+
+
+def profile_gains(s, strategies, shares=None):
+    """The (transmitters x receivers) gains of a profile, each row times its
+    power group share (1 when absent), as ``utilities_at`` multiplies them."""
+    shares = shares or {}
+    return np.array([
+        strategy_gains(s.channels_for(tid), strategies[tid]) * shares.get(tid, 1.0)
+        for tid in s.tids
+    ])
+
+
 def test_all_mrt_profile_is_nash_equilibrium():
     s = ic_scenario(seed=5)
-    point = ParameterPoint(
-        lambdas={"1": indicator(0, 3), "2": indicator(1, 3), "3": indicator(2, 3)},
-        splits={},
-        free_powers={},
-    )
-    strategies = pareto_strategies(s, point)
+    lambdas = {"1": indicator(0, 3), "2": indicator(1, 3), "3": indicator(2, 3)}
+    strategies = boundary_profile(s, lambdas)
     for k, tid in enumerate(s.tids):
         own = s.channel(tid, k + 1)
         w = strategies[tid].direction
@@ -159,8 +170,7 @@ def test_zero_forcing_profile_nulls_cross_gains():
             lam = np.full(users, 1.0 / (users - 1))
             lam[k] = 0.0
             lambdas[tid] = lam
-        point = ParameterPoint(lambdas=lambdas, splits={}, free_powers={})
-        gains = strategy_gain_matrix(s, pareto_strategies(s, point))
+        gains = profile_gains(s, boundary_profile(s, lambdas))
         for i, tid in enumerate(s.tids):
             for j in range(users):
                 if i != j:
@@ -171,72 +181,39 @@ def test_zero_forcing_profile_nulls_cross_gains():
 def test_mixed_degenerate_split_shuts_down_second_virtual():
     s = generate_channels(2, mixed_skeleton(3, noise_power=0.1))
     spec = UtilitySpec.from_scenario(s)
+    lambdas = {"11": indicator(0, 3), "12": indicator(1, 3), "2": np.array([0.0, 0.5, 0.5])}
     point = ParameterPoint(
-        lambdas={
-            "11": indicator(0, 3),
-            "12": indicator(1, 3),
-            "2": np.array([0.0, 0.5, 0.5]),
-        },
-        splits={("11", "12"): np.array([1.0, 0.0])},
-        free_powers={},
+        lambdas=lambdas, splits={("11", "12"): np.array([1.0, 0.0])}, free_powers={}
     )
-    strategies = pareto_strategies(s, point)
-    assert strategies["12"].power == 0.0
-    assert strategies["11"].power == 1.0
-    gains = strategy_gain_matrix(s, strategies)
-    u = utilities(s, spec, gains)
+    strategies = boundary_profile(s, lambdas)
+    assert strategies["11"].power == strategies["12"].power == 1.0
+    gains = profile_gains(s, strategies, {"11": 1.0, "12": 0.0})
+    u = utilities_at(s, spec, point)
+    assert u.tobytes() == utilities(s, spec, gains).tobytes()
     # Receiver 2 sees only the multicast transmitter once 12 is silent.
     direct = np.log2(1 + gains[2, 1] / (spec.noise_power + gains[0, 1]))
     assert u[1] == pytest.approx(direct, rel=1e-12)
 
 
-def test_pareto_strategies_requires_split():
+@pytest.mark.parametrize(
+    "lambdas, splits, message",
+    [
+        ({"11": indicator(0, 3), "12": indicator(0, 3)}, {("11", "12"): [0.5, 0.5]},
+         "parameter point lacks weights for transmitter '2'"),
+        (None, {}, r"parameter point lacks split fractions for group \('11', '12'\)"),
+        (None, {("11", "12"): [0.2, 0.3, 0.5]}, r"group \('11', '12'\) needs 2 fractions, got 3"),
+        (None, {("11", "12"): [np.nan, np.nan]}, "weights must be finite"),
+        (None, {("11", "12"): [0.5, 0.5 + 1e-10]}, "weights must sum to 1"),
+    ],
+    ids=["no-weights", "no-split", "split-length", "split-nan", "split-sum"],
+)
+def test_utilities_at_refuses_a_malformed_point(lambdas, splits, message):
     s = generate_channels(2, mixed_skeleton())
-    point = ParameterPoint(
-        lambdas={t: indicator(0, 3) for t in s.tids}, splits={}, free_powers={}
-    )
-    with pytest.raises(ValueError, match="split"):
-        pareto_strategies(s, point)
-
-
-def test_pareto_strategies_scale_the_boundary_strategy_by_the_split():
-    # 11 and 12 share one power budget; 11 weights only receivers 2 and 3,
-    # which it does not serve and 3 antennas can null, so it is FREE.
-    s = generate_channels(5, mixed_skeleton(3))
-    lambdas = {
-        "11": np.array([0.0, 0.5, 0.5]),
-        "12": np.array([0.2, 0.6, 0.2]),
-        "2": np.array([0.2, 0.2, 0.6]),
-    }
-    split = (0.3, 0.7)
-    point = ParameterPoint(
-        lambdas=lambdas, splits={("11", "12"): np.array(split)}, free_powers={"11": 0.4}
-    )
-    strategies = pareto_strategies(s, point)
-    for tid, share in zip(("11", "12"), split):
-        ref = boundary_strategy(
-            s.channels_for(tid), lambdas[tid], direction_vector(s, tid),
-            p_free=point.free_powers.get(tid),
-        )
-        got = strategies[tid]
-        assert got.power == share * ref.power
-        assert got.power_class is ref.power_class
-        assert np.array_equal(got.direction, ref.direction)
-        assert np.array_equal(got.covariance(), got.power * outer_product(got.direction))
-    assert strategies["11"].power_class is PowerClass.FREE
-    assert strategies["11"].power == 0.3 * 0.4
-
-
-@pytest.mark.parametrize("fractions", [[np.nan, np.nan], [0.5, 0.5 + 1e-10]])
-def test_pareto_strategies_reject_a_split_off_the_simplex(fractions):
-    s = generate_channels(2, mixed_skeleton())
-    point = ParameterPoint(
-        lambdas={t: indicator(0, 3) for t in s.tids},
-        splits={("11", "12"): np.array(fractions)},
-        free_powers={},
-    )
-    with pytest.raises(ValueError, match="finite|sum to 1"):
-        pareto_strategies(s, point)
+    if lambdas is None:
+        lambdas = {t: indicator(0, 3) for t in s.tids}
+    point = ParameterPoint(lambdas=lambdas, splits=splits, free_powers={})
+    with pytest.raises(ValueError, match=message):
+        utilities_at(s, UtilitySpec.from_scenario(s), point)
 
 
 # ------------------------------------------------------------- the sweep
@@ -526,9 +503,20 @@ def test_sweep_matches_scalar_path_with_groups_and_power():
     assert {"p_11", "p_12"} <= set(sweep.parameter_columns)
     for i in range(0, len(sweep), 7):
         point = sweep.parameter_point(i)
-        # The vectorized path multiplies factors in a different order, so
-        # agreement is to rounding, not bit-exact.
-        assert np.allclose(utilities_at(s, spec, point), sweep.utilities[i], rtol=1e-13)
+        assert utilities_at(s, spec, point).tobytes() == sweep.utilities[i].tobytes()
+
+
+def test_split_free_rows_are_the_scalar_oracle_bitwise():
+    # Rows 19,000-19,110 hold FREE powers under a 0.75 split: a product of
+    # split and power before the unit gains differs from the table's in the
+    # last bit on 12 of them.
+    s = generate_channels(85, mixed_skeleton(2))
+    spec = UtilitySpec.from_scenario(s)
+    sweep = sweep_utility_region(s, spec, step=0.25)
+    rows = list(range(19_000, 19_111))
+    got = np.concatenate([u for _, u in sweep.chunks(rows)])
+    want = np.array([utilities_at(s, spec, sweep.parameter_point(i)) for i in rows])
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -541,11 +529,7 @@ def test_chunks_of_random_rows_are_the_scalar_oracle(case, data):
     rows = data.draw(st.permutations(picks + picks[: len(picks) // 2 + 1]))
     got = np.concatenate([u for _, u in sweep.chunks(rows)])
     want = np.array([utilities_at(s, spec, sweep.parameter_point(i)) for i in rows])
-    if all(len(g) == 1 for g in s.power_groups):
-        assert got.tobytes() == want.tobytes()
-    else:
-        # A split multiplies the gains in another order on the scalar path.
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -836,17 +820,17 @@ def test_utility_monotonicity_under_completion(rng):
     # interference-set receiver it never raises it.
     s = generate_channels(31, mixed_skeleton(3, noise_power=snr_to_noise(15.0)))
     spec = UtilitySpec.from_scenario(s)
+    lambdas = {
+        "11": np.array([0.6, 0.2, 0.2]),
+        "12": np.array([0.2, 0.6, 0.2]),
+        "2": np.array([0.2, 0.2, 0.6]),
+    }
     point = ParameterPoint(
-        lambdas={
-            "11": np.array([0.6, 0.2, 0.2]),
-            "12": np.array([0.2, 0.6, 0.2]),
-            "2": np.array([0.2, 0.2, 0.6]),
-        },
-        splits={("11", "12"): np.array([0.5, 0.5])},
-        free_powers={},
+        lambdas=lambdas, splits={("11", "12"): np.array([0.5, 0.5])}, free_powers={}
     )
-    strategies = pareto_strategies(s, point)
-    gains = strategy_gain_matrix(s, strategies)
+    strategies = boundary_profile(s, lambdas)
+    gains = profile_gains(s, strategies, {"11": 0.5, "12": 0.5})
+    assert utilities(s, spec, gains).tobytes() == utilities_at(s, spec, point).tobytes()
     channels2 = s.channels_for("2")
     q2 = 0.5 * strategies["2"].covariance()
     for target, receiver in ((2, 3), (0, 1)):
@@ -867,11 +851,8 @@ def test_interior_gain_tuples_are_never_pareto(rng):
     # replaced by a completion that weakly improves the utility point.
     s = ic_scenario(seed=37, users=3, antennas=3, snr_db=10.0)
     spec = UtilitySpec.from_scenario(s)
-    point = ParameterPoint(
-        lambdas={t: np.full(3, 1 / 3) for t in s.tids}, splits={}, free_powers={}
-    )
-    strategies = pareto_strategies(s, point)
-    gains = strategy_gain_matrix(s, strategies)
+    strategies = boundary_profile(s, {t: np.full(3, 1 / 3) for t in s.tids})
+    gains = profile_gains(s, strategies)
     # Shrink transmitter 1's power: its gain tuple moves strictly inside.
     q1 = 0.5 * strategies["1"].covariance()
     channels1 = s.channels_for("1")

@@ -161,6 +161,27 @@ def test_check_direction_refuses_entries_other_than_plus_or_minus_one(check, val
         check(value)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: simplex_grid_size(0, 0.5), "k must be >= 1", id="grid-k-0"),
+        pytest.param(lambda: check_simplex_weight(np.ones((2, 2, 2))),
+                     r"shape \(K,\) or \(G, K\), got shape \(2, 2, 2\)", id="weights-3d"),
+        pytest.param(lambda: check_simplex_weight([1.5, -0.5]), r"must lie in \[0, 1\]",
+                     id="weights-range"),
+        pytest.param(lambda: region.check_direction([[1, -1]]),
+                     r"1-D direction vector, got shape \(1, 2\)", id="direction-2d"),
+        pytest.param(lambda: unit_gains(np.eye(2), [[1.0, 0.0], [np.inf, 0.0]]),
+                     r"finite beamformer rows, got shape \(2, 2\)", id="beamformer-inf"),
+        pytest.param(lambda: sweep_boundary(np.eye(2), [1, -1, -1], 0.5),
+                     "2 channels but direction has 3 entries", id="sweep-lengths"),
+    ],
+)
+def test_region_checks_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_check_direction_accepts_integral_floats():
     d = region.check_direction([1.0, -1.0, 1.0])
     assert d.dtype.kind == "i" and d.tolist() == [1, -1, 1]

@@ -5,8 +5,13 @@ from gainregion.linalg import eig_hermitian, weighted_combination
 from gainregion.region import boundary_eigensystem, boundary_strategy, unit_gains
 from gainregion.verify import (
     eigenvalue_structure,
+    full_power_completion,
     null_constraints,
     projected_mrt,
+    projector_onto,
+    random_feasible_covariance,
+    segment_covariance,
+    two_user_combination,
     unit,
     verify_gain_equivalence,
 )
@@ -146,3 +151,42 @@ def test_completeness_identity(rng):
     rest = es.vectors[:, :-1]
     complement = np.eye(4) - rest @ rest.conj().T
     assert np.abs(np.outer(v_top, v_top.conj()) - complement).max() <= 1e-10
+
+
+_Q = 0.25 * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: segment_covariance(np.eye(2), np.eye(3), 0.5),
+                     r"covariance shapes differ: \(2, 2\) vs \(3, 3\)", id="segment-shapes"),
+        pytest.param(lambda: full_power_completion(_Q, np.eye(2), 2),
+                     "target must be in 0..1, got 2", id="completion-target"),
+        pytest.param(lambda: full_power_completion(np.eye(3) / 6, np.eye(2), 0),
+                     r"covariance shape \(3, 3\) does not match channel dim 2",
+                     id="completion-shape"),
+        # The target channel lies on the other one: nothing of it survives the projection.
+        pytest.param(lambda: full_power_completion(_Q, [[1.0, 0.0], [2.0, 0.0]], 0),
+                     "projected target channel is numerically zero", id="completion-collinear"),
+        pytest.param(lambda: random_feasible_covariance(0, 0), "n must be >= 1",
+                     id="covariance-n-0"),
+        pytest.param(lambda: unit([0.0, 0.0]), "cannot normalize the zero vector", id="unit-zero"),
+        pytest.param(lambda: projector_onto([]), "dim is required when the column set is empty",
+                     id="projector-no-dim"),
+        pytest.param(lambda: projector_onto([[1.0, 0.0]], dim=3),
+                     "columns have dimension 2, expected 3", id="projector-dim"),
+        pytest.param(lambda: two_user_combination(1.5, [1.0, 0.0], [0.0, 1.0]),
+                     r"lam_hat must be in \[0, 1\], got 1.5", id="combination-range"),
+        pytest.param(lambda: null_constraints(np.eye(3), [0.5, 0.5], [1, -1]),
+                     "length mismatch: 3 channels, 2 weights, 2 directions",
+                     id="constraint-lengths"),
+        pytest.param(lambda: projected_mrt(np.zeros((3, 1)), [1.0, 0.0]),
+                     "constraints have dimension 3, channel has 2", id="mrt-dim"),
+        pytest.param(lambda: projected_mrt(np.array([[1.0], [0.0]]), [2.0, 0.0]),
+                     "projected intended channel is numerically zero", id="mrt-zero"),
+    ],
+)
+def test_check_helpers_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
