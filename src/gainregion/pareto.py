@@ -33,8 +33,9 @@ order.
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
 pairs of rows at once, one broadcast per column; a larger one on two
-columns is a staircase sweep.  ``pareto_filter_bruteforce`` is its pairwise
-oracle.
+columns is a staircase sweep.  Beside the sort order it holds the distinct
+rows' trailing columns and, beyond the staircase, Python floats for at most
+``_BLOCK`` rows.  ``pareto_filter_bruteforce`` is its pairwise oracle.
 """
 
 from __future__ import annotations
@@ -375,25 +376,33 @@ def pareto_filter(points) -> list[int]:
     point is dominated iff some earlier point is >= it on every coordinate
     after the first, so no query needs a tie rule; ``_dominated`` answers it,
     comparing all pairs at once in every sub-problem of at most ``_LEAF``
-    rows.
+    rows.  Beside the sort order it holds one sorted column, then the
+    distinct rows' trailing columns.
     """
     pts = _check_points(points)
-    # The distinct points in ascending lexicographic order, and each point's
-    # position among them: a stable sort, column 0 first, and a row-change
-    # mask, about twice as fast as np.unique(axis=0) on millions of rows.
+    # A stable sort, column 0 first, and a row-change mask or'ed over the
+    # sorted columns one at a time; about twice as fast as np.unique(axis=0).
     order = np.lexsort(pts.T[::-1])
-    ranked = pts[order]
-    new = np.ones(len(ranked), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    distinct = ranked[new]
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    del ranked, order, new
-    n, d = distinct.shape
-    rest = np.hstack([distinct[::-1, 1:], np.zeros((n, max(0, 3 - d)))])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for col in pts.T:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    del col
+    rest = pts[order[new][::-1], 1:]
+    n, d = len(rest), pts.shape[1]
+    if d < 3:
+        rest = np.hstack([rest, np.zeros((n, 3 - d))])
     every = np.ones(n, dtype=bool)
-    keep = ~_dominated(rest, every, every)
-    return np.flatnonzero(keep[::-1][inverse]).tolist()
+    keep = ~_dominated(rest, every, every)[::-1]
+    del rest
+    # Each sorted row's rank among the distinct rows, summed in place.
+    rank = new.astype(np.intp)
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    kept = np.zeros(len(order), dtype=bool)
+    kept[order] = keep[rank]
+    return np.flatnonzero(kept).tolist()
 
 
 def _check_points(points) -> np.ndarray:
@@ -412,6 +421,7 @@ def _check_points(points) -> np.ndarray:
 _LEAF = 48
 # _EARLIER[j, i] is true when j < i.
 _EARLIER = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+_BLOCK = 256
 
 
 def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -419,7 +429,8 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     At most ``_LEAF`` rows are compared pairwise at once.  Above it,
     on two columns a staircase of the ``src`` rows so far (ys nondecreasing,
-    zs nonincreasing) answers max{z : y >= q} by bisection.  On more, as in
+    zs nonincreasing) answers max{z : y >= q} by bisection, reading ``_BLOCK``
+    rows at a time into Python floats.  On more, as in
     Bentley's divide and conquer, each half of the rows is answered; then the
     left ``src`` and live right ``dst`` rows, sorted by column 0 descending with
     left first on ties, ask the same question on the columns after it.
@@ -436,18 +447,21 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         ys: list[float] = []
         zs: list[float] = []
         out = dst.copy()
-        for i, y, z, s in zip(range(n), pts[:, 0].tolist(), pts[:, 1].tolist(), src.tolist()):
-            pos = bisect.bisect_left(ys, y)
-            if pos < len(ys) and zs[pos] >= z:
-                continue
-            out[i] = False
-            if s:
-                # Drop prefix entries the new pair dominates in 2-D.
-                j = pos
-                while j > 0 and zs[j - 1] <= z:
-                    j -= 1
-                ys[j:pos] = [y]
-                zs[j:pos] = [z]
+        for a in range(0, n, _BLOCK):
+            b = a + _BLOCK
+            block = zip(range(a, b), pts[a:b, 0].tolist(), pts[a:b, 1].tolist(), src[a:b].tolist())
+            for i, y, z, s in block:
+                pos = bisect.bisect_left(ys, y)
+                if pos < len(ys) and zs[pos] >= z:
+                    continue
+                out[i] = False
+                if s:
+                    # Drop prefix entries the new pair dominates in 2-D.
+                    j = pos
+                    while j > 0 and zs[j - 1] <= z:
+                        j -= 1
+                    ys[j:pos] = [y]
+                    zs[j:pos] = [z]
         return out
     out = np.zeros(n, dtype=bool)
     h = n // 2

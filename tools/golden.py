@@ -19,12 +19,12 @@ The checklist (``OUTPUTS``):
   84-91; unfiltered ``sweep-rates`` ic 3x3 step 0.125 and mixed N=2 step
   0.25, seeds 84-87; filtered mixed N=3 step 0.25, seeds 84-87; filtered
   front4d step 1/3, seeds 336-351.
-- 22 extra CSVs, seeds 84-85 unless named: ``sweep-rates`` ic 3x2 step
+- 23 extra CSVs, seeds 84-85 unless named: ``sweep-rates`` ic 3x2 step
   0.25 filtered and not; filtered ic 3x3 step 0.125; filtered mixed N=2
   step 0.25; unfiltered mixed N=3 step 0.25; filtered ic 2x1 step 0.5;
   broadcast3 at steps 0.01 and 0.03125, filtered and not; unfiltered
-  front4d seed 336 step 1/3; unfiltered mixed N=3 seed 84 step 0.1
-  (3,162,456 rows).
+  front4d seed 336 step 1/3; mixed N=3 seed 84 step 0.1, unfiltered
+  (3,162,456 rows) and filtered (136,876 rows).
 - The stdout of ``verify --suite all`` and of ``verify --suite all --seed 3
   --trials 40``.
 
@@ -119,7 +119,8 @@ def checklist():
         for filtered in (False, True):
             out += _rates("broadcast3", seeds2, step, filtered)
     out += _rates("front4d", [336], THIRD, False)
-    out += _rates("mixed3", [84], "0.1", False)
+    for filtered in (False, True):
+        out += _rates("mixed3", [84], "0.1", filtered)
     out += [
         ("verify-all.txt", ("verify", "--suite", "all")),
         ("verify-all-seed3-trials40.txt", ("verify", "--suite", "all", "--seed", "3", "--trials", "40")),
