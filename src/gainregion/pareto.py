@@ -32,10 +32,11 @@ order.
 
 The nondominated filter is Bentley's divide and conquer over the
 distinct points.  A sub-problem of at most ``_LEAF`` rows compares all its
-pairs of rows at once, one broadcast per column; a larger one on two
-columns is a staircase sweep.  Beside the sort order it holds the distinct
-rows' trailing columns and, beyond the staircase, Python floats for at most
-``_BLOCK`` rows.  ``pareto_filter_bruteforce`` is its pairwise oracle.
+pairs of rows at once, one broadcast per column; a larger one on one or
+two columns is a staircase sweep.  Beside the sort order it holds the
+distinct rows' trailing columns and, beyond the staircase, Python floats
+for at most ``_BLOCK`` rows.  It and ``pareto_filter_bruteforce``, its
+pairwise oracle, return a sorted index array.
 """
 
 from __future__ import annotations
@@ -365,19 +366,18 @@ def sweep_utility_region(
     return UtilitySweep(scenario=s, axes=axes, spec=spec, fields=fields)
 
 
-def pareto_filter(points) -> list[int]:
-    """Indices of the nondominated utility points (larger is better).
+def pareto_filter(points) -> np.ndarray:
+    """Sorted index array of the nondominated utility points (larger is better).
 
     A point is dropped when some other point is componentwise >= and
     strictly greater in at least one coordinate, so every exact duplicate
-    of a kept point is kept.  Points must be finite; the result is sorted.
+    of a kept point is kept.  Points must be finite.
 
     The distinct points are taken in descending lexicographic order, where a
     point is dominated iff some earlier point is >= it on every coordinate
-    after the first, so no query needs a tie rule; ``_dominated`` answers it,
-    comparing all pairs at once in every sub-problem of at most ``_LEAF``
-    rows.  Beside the sort order it holds one sorted column, then the
-    distinct rows' trailing columns.
+    after the first, so no query needs a tie rule; ``_dominated`` answers
+    it.  Beside the sort order it holds one sorted column, then the distinct
+    rows' trailing columns.
     """
     pts = _check_points(points)
     # A stable sort, column 0 first, and a row-change mask or'ed over the
@@ -389,11 +389,8 @@ def pareto_filter(points) -> list[int]:
         col = col[order]
         new[1:] |= col[1:] != col[:-1]
     del col
-    rest = pts[order[new][::-1], 1:]
-    n, d = len(rest), pts.shape[1]
-    if d < 3:
-        rest = np.hstack([rest, np.zeros((n, 3 - d))])
-    every = np.ones(n, dtype=bool)
+    rest = pts[order[new][::-1], int(pts.shape[1] > 1):]
+    every = np.ones(len(rest), dtype=bool)
     keep = ~_dominated(rest, every, every)[::-1]
     del rest
     # Each sorted row's rank among the distinct rows, summed in place.
@@ -402,7 +399,7 @@ def pareto_filter(points) -> list[int]:
     rank -= 1
     kept = np.zeros(len(order), dtype=bool)
     kept[order] = keep[rank]
-    return np.flatnonzero(kept).tolist()
+    return np.flatnonzero(kept)
 
 
 def _check_points(points) -> np.ndarray:
@@ -427,13 +424,14 @@ _BLOCK = 256
 def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Mask of the ``dst`` rows that some earlier ``src`` row is >= on every column.
 
-    At most ``_LEAF`` rows are compared pairwise at once.  Above it,
-    on two columns a staircase of the ``src`` rows so far (ys nondecreasing,
-    zs nonincreasing) answers max{z : y >= q} by bisection, reading ``_BLOCK``
-    rows at a time into Python floats.  On more, as in
-    Bentley's divide and conquer, each half of the rows is answered; then the
-    left ``src`` and live right ``dst`` rows, sorted by column 0 descending with
-    left first on ties, ask the same question on the columns after it.
+    At most ``_LEAF`` rows are compared pairwise at once.  Above it, on
+    one or two columns (y the first, z the last) a staircase of the ``src``
+    rows so far (ys nondecreasing, zs nonincreasing) answers max{z : y >= q}
+    by bisection, reading ``_BLOCK`` rows at a time into Python floats.  On
+    more, as in Bentley's divide and conquer, each half of the rows is
+    answered; then the left ``src`` and live right ``dst`` rows, sorted by
+    column 0 descending with left first on ties, ask the same question on
+    the columns after it.
     """
     n, m = pts.shape
     if n <= _LEAF:
@@ -443,13 +441,13 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         for col in pts.T:
             before &= col[:, None] >= col
         return dst & before.any(axis=0)
-    if m == 2:
+    if m <= 2:
         ys: list[float] = []
         zs: list[float] = []
         out = dst.copy()
         for a in range(0, n, _BLOCK):
             b = a + _BLOCK
-            block = zip(range(a, b), pts[a:b, 0].tolist(), pts[a:b, 1].tolist(), src[a:b].tolist())
+            block = zip(range(a, b), pts[a:b, 0].tolist(), pts[a:b, -1].tolist(), src[a:b].tolist())
             for i, y, z, s in block:
                 pos = bisect.bisect_left(ys, y)
                 if pos < len(ys) and zs[pos] >= z:
@@ -476,7 +474,7 @@ def _dominated(pts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
-def pareto_filter_bruteforce(points) -> list[int]:
-    """O(n^2) pairwise reference filter; the correctness oracle."""
+def pareto_filter_bruteforce(points) -> np.ndarray:
+    """Index array of the O(n^2) pairwise reference filter; the oracle."""
     pts = _check_points(points)
-    return [i for i, p in enumerate(pts) if not np.any((pts >= p).all(1) & (pts > p).any(1))]
+    return np.flatnonzero([not np.any((pts >= p).all(1) & (pts > p).any(1)) for p in pts])

@@ -639,7 +639,7 @@ def suite_pareto_oracle(seed: int = 0, trials: int = 1000) -> list[Check]:
         fast = pareto_filter(pts)
         slow = pareto_filter_bruteforce(pts)
         mismatches += len(set(fast) ^ set(slow))
-        agree = agree and fast == slow
+        agree = agree and np.array_equal(fast, slow)
         counts.append(f"{len(fast)} nondominated of {trials} in {d}-D")
     return [
         Check(
